@@ -52,6 +52,21 @@ class RankingFeedback:
 Feedback = WinnerFeedback | RankingFeedback
 
 
+def _check_feedback(subset: tuple[int, ...], feedback: Feedback) -> None:
+    """Raise ``ValueError`` unless ``feedback`` is about exactly ``subset``.
+
+    ``subset`` must already be sorted and distinct (see ``_check_subset``).
+    """
+    if isinstance(feedback, WinnerFeedback):
+        if feedback.arm not in subset:
+            raise ValueError("winner must be a member of the subset")
+    elif isinstance(feedback, RankingFeedback):
+        if feedback.ranking.items != subset:
+            raise ValueError("ranking domain must equal the subset")
+    else:
+        raise ValueError(f"unknown feedback type: {type(feedback)!r}")
+
+
 @dataclass(frozen=True)
 class Observation:
     """One round of feedback: what was chosen, what came back, under which context."""
@@ -63,14 +78,7 @@ class Observation:
     def __post_init__(self):
         members = _check_subset(self.subset, self.context.n)
         object.__setattr__(self, "subset", tuple(int(i) for i in members))
-        if isinstance(self.feedback, WinnerFeedback):
-            if self.feedback.arm not in self.subset:
-                raise ValueError("winner must be a member of the subset")
-        elif isinstance(self.feedback, RankingFeedback):
-            if self.feedback.ranking.items != self.subset:
-                raise ValueError("ranking domain must equal the subset")
-        else:
-            raise ValueError(f"unknown feedback type: {type(self.feedback)!r}")
+        _check_feedback(self.subset, self.feedback)
 
     @property
     def stages(self) -> tuple[int, ...]:

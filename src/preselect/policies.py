@@ -16,21 +16,23 @@ Policies:
 * ``MaxThetaPolicy`` scores by estimated utility alone.
 * ``EpsilonGreedyPolicy`` follows MaxTheta, but with probability epsilon
   picks a uniformly random k-subset.
-* ``MMPolicy`` is context-free: it fits plain PL weights to the observed
-  choice stages with a minorization-maximization iteration and greedily
-  plays the top-k arms by weight.
+* ``MMPolicy`` is context-free: it keeps per-arm stage wins and the
+  multiplicity of each remaining-set seen, refits plain PL weights to
+  them with a minorization-maximization iteration, and greedily plays
+  the top-k arms by weight.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
 from .estimator import EstimatorState, confidence_widths, sgd_update
-from .likelihood import Feedback, Observation, RankingFeedback, WinnerFeedback
-from .plackett_luce import ContextMatrix
+from .likelihood import Feedback, Observation, WinnerFeedback, _check_feedback
+from .plackett_luce import ContextMatrix, _check_subset
 
 __all__ = [
     "PolicyDecision",
@@ -128,16 +130,23 @@ _WEIGHT_FLOOR = 1e-12  # keeps never-winning arms strictly positive
 
 @dataclass(frozen=True)
 class MMState:
-    """Context-free PL weight estimates plus the observation history.
+    """Context-free PL weights plus the sufficient statistics of the stages seen.
 
-    ``weights`` are normalized to sum 1.  ``history`` holds
-    ``(subset, feedback)`` pairs.  ``unseen`` flags arms that never
-    appeared in any choice stage; their weights are held at the uniform
-    prior 1/n (up to renormalization).
+    An observation is a sequence of choice stages (remaining arms, stage
+    winner): a winner observation is one stage over the chosen subset, a
+    ranking of m arms is m - 1 stages over the shrinking remainder.  The
+    MM update needs only ``wins`` (stages won by each arm) and
+    ``set_counts`` (stages per distinct remaining-set, keyed by its sorted
+    tuple).  ``observations`` counts recorded rounds.  ``weights`` are
+    normalized to sum 1; ``unseen`` flags arms that never appeared in any
+    stage, whose weights are held at the uniform prior 1/n (up to
+    renormalization).
     """
 
     weights: np.ndarray
-    history: tuple[tuple[tuple[int, ...], Feedback], ...] = ()
+    wins: np.ndarray | None = None
+    set_counts: dict[tuple[int, ...], int] = field(default_factory=dict)
+    observations: int = 0
     unseen: frozenset[int] = frozenset()
 
     def __post_init__(self):
@@ -146,7 +155,12 @@ class MMState:
             raise ValueError("weights must be a nonempty vector")
         if not (np.all(np.isfinite(w)) and np.all(w > 0)):
             raise ValueError("weights must be strictly positive and finite")
+        wins = np.zeros(w.size, dtype=np.int64) if self.wins is None else self.wins
+        wins = np.asarray(wins)
+        if wins.shape != w.shape:
+            raise ValueError("wins must have one entry per arm")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "wins", wins)
 
     @classmethod
     def uniform(cls, n: int) -> "MMState":
@@ -157,99 +171,62 @@ class MMState:
         return self.weights.size
 
     def record(self, subset: tuple[int, ...], feedback: Feedback) -> "MMState":
-        return replace(self, history=self.history + ((tuple(subset), feedback),))
-
-
-def _decompose_stages(
-    history: tuple[tuple[tuple[int, ...], Feedback], ...],
-) -> list[tuple[tuple[int, ...], int]]:
-    """Sequential-choice stages ``(remaining arms, stage winner)`` of a history.
-
-    A winner observation is a single stage over the whole subset; a
-    ranking of size m contributes m - 1 stages over the shrinking
-    remainder.
-    """
-    stages: list[tuple[tuple[int, ...], int]] = []
-    for subset, feedback in history:
+        """Add one observation's stages to the statistics; weights are unchanged."""
+        subset = tuple(int(i) for i in _check_subset(subset, self.n))
+        _check_feedback(subset, feedback)
         if isinstance(feedback, WinnerFeedback):
-            stages.append((tuple(subset), feedback.arm))
-        elif isinstance(feedback, RankingFeedback):
-            ordering = feedback.ranking.ordering
-            for i in range(len(ordering) - 1):
-                stages.append((ordering[i:], ordering[i]))
+            stages = [(subset, feedback.arm)]
         else:
-            raise ValueError(f"unknown feedback type: {type(feedback)!r}")
-    return stages
-
-
-def _group_stages(
-    stages: list[tuple[tuple[int, ...], int]],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Group stages by remaining-set size into (members matrix, winners) arrays."""
-    by_size: dict[int, tuple[list[tuple[int, ...]], list[int]]] = {}
-    for remaining, winner in stages:
-        rows, winners = by_size.setdefault(len(remaining), ([], []))
-        rows.append(remaining)
-        winners.append(winner)
-    return [
-        (np.asarray(rows, dtype=np.intp), np.asarray(winners, dtype=np.intp))
-        for rows, winners in by_size.values()
-    ]
-
-
-def _mm_iterate(
-    weights: np.ndarray,
-    groups: list[tuple[np.ndarray, np.ndarray]],
-    n: int,
-    max_iters: int,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minorization-maximization fixed-point iteration on grouped stages.
-
-    Each sweep sets ``w_i`` to the number of stages won by arm i divided
-    by the sum over stages containing i of the inverse stage total, then
-    renormalizes.  Returns the fitted weights and the per-arm appearance
-    counts (zero marks unseen arms, which stay at the uniform prior).
-    """
-    wins = np.zeros(n)
-    appearances = np.zeros(n)
-    for rows, winners in groups:
-        wins += np.bincount(winners, minlength=n)
-        appearances += np.bincount(rows.ravel(), minlength=n)
-    seen = appearances > 0
-
-    w = weights.copy()
-    for _ in range(max_iters):
-        denom = np.zeros(n)
-        for rows, winners in groups:
-            inv_totals = 1.0 / w[rows].sum(axis=1)
-            denom += np.bincount(
-                rows.ravel(),
-                weights=np.repeat(inv_totals, rows.shape[1]),
-                minlength=n,
-            )
-        w_new = np.full(n, 1.0 / n)
-        w_new[seen] = wins[seen] / denom[seen]
-        w_new = np.maximum(w_new, _WEIGHT_FLOOR)
-        w_new /= w_new.sum()
-        delta = np.max(np.abs(w_new - w))
-        w = w_new
-        if delta < tol:
-            break
-    return w, appearances
+            ordering = feedback.ranking.ordering
+            stages = [(ordering[i:], ordering[i]) for i in range(len(ordering) - 1)]
+        wins = self.wins.copy()
+        set_counts = dict(self.set_counts)
+        for remaining, winner in stages:
+            wins[winner] += 1
+            key = tuple(sorted(remaining))
+            set_counts[key] = set_counts.get(key, 0) + 1
+        return replace(
+            self, wins=wins, set_counts=set_counts, observations=self.observations + 1
+        )
 
 
 def mm_fit(state: MMState, max_iters: int = 100, tol: float = 1e-8) -> MMState:
-    """Fit context-free PL weights to the recorded history."""
-    if not state.history:
+    """Fit context-free PL weights to the recorded stages (Hunter's MM iteration).
+
+    Each sweep sets ``w_i`` to the number of stages won by arm i divided
+    by the sum, over stages containing i, of the inverse stage total, then
+    renormalizes.  With the S distinct remaining-sets as the rows of a
+    0/1 incidence matrix ``A`` and their multiplicities ``m``, that
+    denominator is ``(m / (A @ w)) @ A``.  Arms in no stage get numerator
+    1/n and denominator 1, so they stay at the uniform prior.  The
+    iteration warm-starts from ``state.weights`` and stops once no weight
+    moves by ``tol`` or after ``max_iters`` sweeps.
+    """
+    if not state.observations:
         raise ValueError("cannot fit with an empty history")
-    groups = _group_stages(_decompose_stages(state.history))
-    weights, appearances = _mm_iterate(state.weights, groups, state.n, max_iters, tol)
-    return replace(
-        state,
-        weights=weights,
-        unseen=frozenset(int(i) for i in np.flatnonzero(appearances == 0)),
-    )
+    n = state.n
+    sets = list(state.set_counts)
+    A = np.zeros((len(sets), n))
+    A[
+        np.repeat(np.arange(len(sets)), [len(s) for s in sets]),
+        np.fromiter(chain.from_iterable(sets), dtype=np.intp),
+    ] = 1.0
+    m = np.fromiter(state.set_counts.values(), dtype=float, count=len(sets))
+    seen = A.any(axis=0)
+    pad = np.where(seen, 0.0, 1.0)
+    numerator = state.wins + pad / n
+
+    # At a few dozen sets per-call overhead dominates each sweep, hence
+    # ndarray.dot and a bare ufunc reduce instead of ``@`` and ``np.max``.
+    w = state.weights
+    for _ in range(max_iters):
+        w_new = np.maximum(numerator / ((m / A.dot(w)).dot(A) + pad), _WEIGHT_FLOOR)
+        w_new /= w_new.sum()
+        delta = np.maximum.reduce(np.abs(w_new - w))
+        w = w_new
+        if delta < tol:
+            break
+    return replace(state, weights=w, unseen=frozenset(np.flatnonzero(~seen).tolist()))
 
 
 def mm_choose(state: MMState, k: int) -> PolicyDecision:
@@ -339,32 +316,12 @@ class EpsilonGreedyPolicy(CPPLPolicy):
         return epsilon_greedy_choose(self.state, context, k, self.epsilon, self.rng)
 
 
-class _StageBuffer:
-    """Append-only array storage for stages of one remaining-set size."""
-
-    def __init__(self, size: int, capacity: int = 256):
-        self.rows = np.empty((capacity, size), dtype=np.intp)
-        self.winners = np.empty(capacity, dtype=np.intp)
-        self.count = 0
-
-    def append(self, remaining: tuple[int, ...], winner: int) -> None:
-        if self.count == self.winners.size:
-            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
-            self.winners = np.concatenate([self.winners, np.empty_like(self.winners)])
-        self.rows[self.count] = remaining
-        self.winners[self.count] = winner
-        self.count += 1
-
-    def view(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.rows[: self.count], self.winners[: self.count]
-
-
 class MMPolicy(Policy):
     """Context-free baseline: refit MM weights each round, play top-k greedily.
 
-    The refit warm-starts from the previous weights; stage arrays grow
-    incrementally so the per-round cost stays linear in the history
-    instead of re-decomposing it.
+    The state holds only stage statistics, so a refit costs one pass per
+    sweep over the distinct remaining-sets, however many rounds came
+    before; it warm-starts from the previous weights.
     """
 
     def __init__(self, n: int, max_iters: int = 100, tol: float = 1e-8):
@@ -372,24 +329,11 @@ class MMPolicy(Policy):
         self.state = MMState.uniform(n)
         self.max_iters = max_iters
         self.tol = tol
-        self._buffers: dict[int, _StageBuffer] = {}
 
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
         return mm_choose(self.state, k)
 
     def _update(self, obs: Observation) -> None:
-        state = self.state.record(obs.subset, obs.feedback)
-        for remaining, winner in _decompose_stages(((obs.subset, obs.feedback),)):
-            size = len(remaining)
-            if size not in self._buffers:
-                self._buffers[size] = _StageBuffer(size)
-            self._buffers[size].append(remaining, winner)
-        groups = [buf.view() for buf in self._buffers.values()]
-        weights, appearances = _mm_iterate(
-            state.weights, groups, state.n, self.max_iters, self.tol
-        )
-        self.state = replace(
-            state,
-            weights=weights,
-            unseen=frozenset(int(i) for i in np.flatnonzero(appearances == 0)),
+        self.state = mm_fit(
+            self.state.record(obs.subset, obs.feedback), self.max_iters, self.tol
         )

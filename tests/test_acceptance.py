@@ -304,12 +304,11 @@ def test_criterion_07_mm_recovery():
     rng = np.random.default_rng(1007)
     true = np.array([0.32, 0.26, 0.19, 0.14, 0.09])
     utils = UtilityVector.from_values(true)
-    history = []
+    state = MMState(weights=np.full(5, 0.2))
     for _ in range(50000):
         subset = tuple(sorted(rng.choice(5, size=3, replace=False)))
-        history.append((subset, WinnerFeedback(sample_winner(utils, subset, rng))))
-    fitted = mm_fit(MMState(weights=np.full(5, 0.2), history=tuple(history)),
-                    max_iters=1000, tol=1e-10)
+        state = state.record(subset, WinnerFeedback(sample_winner(utils, subset, rng)))
+    fitted = mm_fit(state, max_iters=1000, tol=1e-10)
     err = float(np.max(np.abs(fitted.weights - true)))
     elapsed = time.perf_counter() - start
     ok = err < 0.05 and elapsed < 30.0

@@ -165,6 +165,25 @@ class TestEpsilonGreedy:
             epsilon_greedy_choose(state, context, 2, 1.5, rng)
 
 
+def record_all(state, history):
+    """Record every (subset, feedback) pair of ``history`` into ``state``."""
+    for subset, feedback in history:
+        state = state.record(subset, feedback)
+    return state
+
+
+def raw_stages(history):
+    """Choice stages (remaining arms, stage winner) of raw (subset, feedback) pairs."""
+    stages = []
+    for subset, feedback in history:
+        if isinstance(feedback, WinnerFeedback):
+            stages.append((frozenset(subset), feedback.arm))
+        else:
+            ordering = feedback.ranking.ordering
+            stages.extend((frozenset(ordering[i:]), ordering[i]) for i in range(len(ordering) - 1))
+    return stages
+
+
 class TestMMFit:
     def test_one_sided_evidence(self):
         state = MMState.uniform(2).record((0, 1), WinnerFeedback(0))
@@ -193,11 +212,9 @@ class TestMMFit:
         true = np.array([0.35, 0.25, 0.2, 0.12, 0.08])
         utils = UtilityVector.from_values(true)
         state = MMState.uniform(5)
-        history = []
         for _ in range(50000):
             subset = tuple(sorted(rng.choice(5, size=3, replace=False)))
-            history.append((subset, WinnerFeedback(sample_winner(utils, subset, rng))))
-        state = MMState(weights=state.weights, history=tuple(history))
+            state = state.record(subset, WinnerFeedback(sample_winner(utils, subset, rng)))
         fitted = mm_fit(state, max_iters=500, tol=1e-10)
         assert np.max(np.abs(fitted.weights - true)) < 0.05
 
@@ -205,12 +222,11 @@ class TestMMFit:
         rng = np.random.default_rng(22)
         true = np.array([0.5, 0.3, 0.2])
         utils = UtilityVector.from_values(true)
-        history = []
+        state = MMState(weights=np.full(3, 1 / 3))
         for _ in range(20000):
             ranking = sample_partial_ranking(utils, (0, 1, 2), rng)
-            history.append(((0, 1, 2), RankingFeedback(ranking)))
-        fitted = mm_fit(MMState(weights=np.full(3, 1 / 3), history=tuple(history)),
-                        max_iters=500, tol=1e-10)
+            state = state.record((0, 1, 2), RankingFeedback(ranking))
+        fitted = mm_fit(state, max_iters=500, tol=1e-10)
         assert np.max(np.abs(fitted.weights - true)) < 0.05
 
     def test_order_invariance(self, rng):
@@ -219,17 +235,110 @@ class TestMMFit:
         for _ in range(300):
             subset = tuple(sorted(rng.choice(4, size=2, replace=False)))
             history.append((subset, WinnerFeedback(sample_winner(utils, subset, rng))))
-        fit1 = mm_fit(MMState(weights=np.full(4, 0.25), history=tuple(history)),
+        fit1 = mm_fit(record_all(MMState(weights=np.full(4, 0.25)), history),
                       max_iters=300, tol=1e-12)
         shuffled = list(history)
         rng.shuffle(shuffled)
-        fit2 = mm_fit(MMState(weights=np.full(4, 0.25), history=tuple(shuffled)),
+        fit2 = mm_fit(record_all(MMState(weights=np.full(4, 0.25)), shuffled),
                       max_iters=300, tol=1e-12)
         np.testing.assert_allclose(fit1.weights, fit2.weights, atol=1e-9)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             mm_fit(MMState.uniform(3))
+
+    def test_observation_without_stages_keeps_prior(self):
+        # A one-arm ranking carries no choice stage: nothing is learned.
+        state = MMState.uniform(4).record((2,), RankingFeedback(Ranking.from_ordering([2])))
+        fitted = mm_fit(state)
+        np.testing.assert_allclose(fitted.weights, 0.25)
+        assert fitted.unseen == frozenset(range(4))
+
+    def test_sweeps_match_stage_by_stage_reference(self, rng):
+        # Arm 4 never appears (held at the prior), arm 3 never wins (floor).
+        history = [((0, 1, 2), WinnerFeedback(0)), ((1, 3), WinnerFeedback(1)),
+                   ((0, 2, 3), RankingFeedback(Ranking.from_ordering([2, 0, 3]))),
+                   ((0, 1), WinnerFeedback(1)), ((0, 1, 2), WinnerFeedback(2))]
+        stages = raw_stages(history)
+        state = record_all(MMState(weights=rng.dirichlet(np.ones(5))), history)
+        w = state.weights
+        for _ in range(3):
+            wins, denom = np.zeros(5), np.zeros(5)
+            for remaining, winner in stages:
+                members = list(remaining)
+                wins[winner] += 1
+                denom[members] += 1.0 / w[members].sum()
+            w_new = np.full(5, 1 / 5)
+            w_new[denom > 0] = wins[denom > 0] / denom[denom > 0]
+            w = np.maximum(w_new, 1e-12)
+            w /= w.sum()
+        fitted = mm_fit(state, max_iters=3, tol=0.0)
+        np.testing.assert_allclose(fitted.weights, w, rtol=1e-12)
+        assert fitted.unseen == frozenset({4})
+
+    def test_fixed_point_is_stationary(self):
+        # Hunter's MM fixed point: wins_i = w_i * sum over stages containing
+        # i of 1 / (stage total), evaluated stage by stage from raw pairs.
+        rng = np.random.default_rng(23)
+        utils = UtilityVector.from_values([1.5, 1.0, 0.6, 1.1, 0.8])
+        history = []
+        for t in range(400):
+            subset = tuple(sorted(rng.choice(5, size=3, replace=False)))
+            if t % 2:
+                feedback = RankingFeedback(sample_partial_ranking(utils, subset, rng))
+            else:
+                feedback = WinnerFeedback(sample_winner(utils, subset, rng))
+            history.append((subset, feedback))
+        stages = raw_stages(history)
+        wins = np.bincount([winner for _, winner in stages], minlength=5)
+        assert np.all(wins >= 1)
+        w = mm_fit(record_all(MMState.uniform(5), history), max_iters=10000, tol=1e-12).weights
+        rhs = np.zeros(5)
+        for remaining, _ in stages:
+            members = list(remaining)
+            rhs[members] += w[members] / w[members].sum()
+        np.testing.assert_allclose(rhs, wins, rtol=1e-6)
+
+
+class TestMMState:
+    def test_statistics_match_raw_stages(self, rng):
+        n = 8
+        utils = UtilityVector.from_values(rng.uniform(0.5, 2.0, size=n))
+        history = []
+        for mode in ("ranking", "winner"):
+            for _ in range(300):
+                size = int(rng.integers(2, 6))
+                subset = tuple(sorted(rng.choice(n, size=size, replace=False)))
+                if mode == "ranking":
+                    feedback = RankingFeedback(sample_partial_ranking(utils, subset, rng))
+                else:
+                    feedback = WinnerFeedback(sample_winner(utils, subset, rng))
+                history.append((subset, feedback))
+        state = record_all(MMState.uniform(n), history)
+        stages = raw_stages(history)
+        assert len(state.set_counts) == len({remaining for remaining, _ in stages})
+        assert sum(state.set_counts.values()) == len(stages)
+        expected_wins = np.zeros(n, dtype=int)
+        for _, winner in stages:
+            expected_wins[winner] += 1
+        np.testing.assert_array_equal(state.wins, expected_wins)
+        assert state.observations == len(history)
+
+    def test_record_rejects_winner_outside_subset(self):
+        with pytest.raises(ValueError):
+            MMState.uniform(3).record((0, 1), WinnerFeedback(2))
+
+    def test_record_rejects_ranking_of_other_items(self):
+        ranking = Ranking.from_ordering([2, 0])
+        with pytest.raises(ValueError):
+            MMState.uniform(3).record((0, 1), RankingFeedback(ranking))
+
+    def test_record_leaves_original_state_unchanged(self):
+        state = MMState.uniform(3)
+        state.record((0, 1), WinnerFeedback(0))
+        assert state.observations == 0
+        assert not state.set_counts
+        np.testing.assert_array_equal(state.wins, 0)
 
 
 class TestMMChoose:
@@ -266,11 +375,12 @@ class TestPolicyInterface:
             winner = sample_winner(utils, decision.subset, rng)
             policy.update(WinnerFeedback(winner))
             history.append((decision.subset, WinnerFeedback(winner)))
-        reference = MMState(weights=np.full(4, 0.25), history=tuple(history))
+        reference = record_all(MMState(weights=np.full(4, 0.25)), history)
         # Batch fit from cold start converges to the same fixed point.
         fitted = mm_fit(reference, max_iters=2000, tol=1e-12)
         np.testing.assert_allclose(policy.state.weights, fitted.weights, atol=1e-4)
-        assert policy.state.history == tuple(history)
+        np.testing.assert_array_equal(policy.state.wins, reference.wins)
+        assert policy.state.set_counts == reference.set_counts
 
     def test_all_choose_ops_return_k_distinct_members(self, rng):
         for policy in (MMPolicy(6),):
