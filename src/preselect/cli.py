@@ -79,9 +79,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         try:
             with open(args.config) as fh:
-                values.update(json.load(fh))
+                values = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
+        if not isinstance(values, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object, not a list or value")
         values.pop("environment", None)  # the subcommand decides
         if "lambda" in values:
             values["lam"] = values.pop("lambda")

@@ -354,14 +354,35 @@ class AlgoSelectEnvironment:
 # ---------------------------------------------------------------------------
 
 
-def _read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header and nonblank rows of a CSV file, each row with its 1-based line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        return header, [row for row in reader if row]
+        return header, [(reader.line_num, row) for row in reader if row]
+
+
+def _float_matrix(
+    path: str | Path, header: list[str], rows: list[tuple[int, list[str]]], skip: int = 0
+) -> np.ndarray:
+    """Each row's cells after the first ``skip`` as floats; errors name file and line."""
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: line {line}: expected {len(header)} fields, found {len(row)}"
+            )
+    try:
+        return np.array([row[skip:] for _, row in rows], dtype=float)
+    except ValueError:
+        for line, row in rows:  # find the first row that does not parse
+            try:
+                np.array(row[skip:], dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line}: {exc}") from None
+        raise
 
 
 def load_runtime_table(
@@ -380,18 +401,18 @@ def load_runtime_table(
     rt_header, rt_rows = _read_csv(runtimes_path)
     if not rt_header or rt_header[0] != "instance_id":
         raise ValueError(f"{runtimes_path}: first column must be instance_id")
-    ids = [row[0] for row in rt_rows]
-    runtimes = np.array([[float(v) for v in row[1:]] for row in rt_rows])
+    ids = [row[0] for _, row in rt_rows]
+    runtimes = _float_matrix(runtimes_path, rt_header, rt_rows, skip=1)
 
     if_header, if_rows = _read_csv(instance_features_path)
     if not if_header or if_header[0] != "instance_id":
         raise ValueError(f"{instance_features_path}: first column must be instance_id")
-    feat_ids = [row[0] for row in if_rows]
+    feat_ids = [row[0] for _, row in if_rows]
     if feat_ids != ids:
         raise ValueError(
             "instance_id mismatch between runtime and instance-feature files"
         )
-    feats = np.array([[float(v) for v in row[1:]] for row in if_rows])
+    feats = _float_matrix(instance_features_path, if_header, if_rows, skip=1)
 
     if solver_features_path is None:
         solver = bundled_solver_features()
@@ -405,7 +426,7 @@ def load_solver_features(path: str | Path) -> np.ndarray:
     header, rows = _read_csv(path)
     if header != ["alpha", "rho", "ps", "wp"]:
         raise ValueError(f"{path}: expected header alpha,rho,ps,wp")
-    return np.array([[float(v) for v in row] for row in rows])
+    return _float_matrix(path, header, rows)
 
 
 def bundled_solver_features() -> np.ndarray:

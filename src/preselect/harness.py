@@ -88,6 +88,10 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
+        for name in ("n", "d", "k", "T", "reps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.environment not in ENVIRONMENTS:
             raise ConfigError(f"unknown environment {self.environment!r}")
         if self.policy not in POLICIES:
@@ -96,8 +100,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown feedback mode {self.feedback!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
-        if self.T < 0:
-            raise ConfigError("T must be nonnegative")
+        for name in ("T", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
         if not self.gamma1 > 0:

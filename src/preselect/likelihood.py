@@ -1,18 +1,19 @@
 """Log-likelihood, gradient, and Hessian of the contextual PL model.
 
-Two feedback scenarios are supported for an observed round: the winner
-of the chosen subset, or a full ranking of the chosen subset.  Both
-log-likelihoods are concave in theta; the gradient and Hessian are the
-stage-wise sums
+An observed round is the winner of the chosen subset or a full ranking
+of it; either way it is a sequence of choice stages (``Observation.stages``),
+a winner being the single first stage.  Both log-likelihoods are concave.
 
-    grad  = sum_i [ x_(i) - a_i / b_i ]
-    hess  = sum_i [ a_i a_i^T / b_i^2 - c_i / b_i ]
+One stage pass (``_stage_terms``) orders the subset's columns X by stage
+and, from their logits l_j = theta . x_j, computes the per-stage log
+normalizers lognorm_i = log sum_{j >= i} exp(l_j) (a reverse ``logaddexp``
+accumulation, so every stage is shifted by its own maximum) and the choice
+probabilities P_ij = exp(l_j - lognorm_i) for j >= i, 0 for arms already
+taken (masked in log space, so nothing overflows).  Then
 
-where stage i ranges over the observed ordering, a_i / b_i / c_i are the
-utility-weighted first moment / normalizer / second moment of the arms
-still available at stage i.  A winner observation is the single first
-stage.  Stage terms are computed from max-shifted softmax weights, which
-leaves the ratios a_i/b_i and c_i/b_i unchanged while avoiding overflow.
+    loglik = sum_i l_(i) - sum_i lognorm_i
+    grad   = sum_i x_(i) - X (column sums of P)
+    hess   = (X P^T)(X P^T)^T - X diag(column sums of P) X^T
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .plackett_luce import ContextMatrix, Ranking, _check_subset, _softmax
+from .plackett_luce import ContextMatrix, Ranking, _check_subset, _suffix_log_normalizers
 
 __all__ = [
     "WinnerFeedback",
@@ -88,67 +88,36 @@ class Observation:
         return self.feedback.ranking.ordering
 
 
-def _check_theta(theta: np.ndarray, obs: Observation) -> np.ndarray:
+def _stage_terms(theta: np.ndarray, obs: Observation):
+    """Stage-ordered columns X (observed stages first), logits, lognorm and P."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size != obs.context.d:
-        raise ValueError(
-            f"theta has dimension {theta.size}, context expects {obs.context.d}"
-        )
-    return theta
-
-
-def _ordered_features(obs: Observation) -> np.ndarray:
-    """Columns of the chosen subset, in observed order (d x |S|).
-
-    For winner feedback the winner column comes first; the order of the
-    losers is irrelevant because only the first stage contributes.
-    """
-    if isinstance(obs.feedback, WinnerFeedback):
-        rest = [i for i in obs.subset if i != obs.feedback.arm]
-        order = [obs.feedback.arm] + rest
-    else:
-        order = list(obs.feedback.ranking.ordering)
-    return obs.context.features[:, order]
+        raise ValueError(f"theta has dimension {theta.size}, context expects {obs.context.d}")
+    stages = obs.stages
+    feats = obs.context.features[:, stages + tuple(i for i in obs.subset if i not in stages)]
+    logits = theta @ feats
+    lognorm = _suffix_log_normalizers(logits)[: len(stages)]
+    log_probs = logits - lognorm[:, None]
+    for i in range(1, len(stages)):
+        log_probs[i, :i] = -np.inf
+    return feats, logits, lognorm, np.exp(log_probs)
 
 
 def loglik(theta: np.ndarray, obs: Observation) -> float:
     """Log-likelihood of ``theta`` for one observation (always <= 0)."""
-    theta = _check_theta(theta, obs)
-    feats = _ordered_features(obs)
-    logits = theta @ feats
-    if isinstance(obs.feedback, WinnerFeedback):
-        return float(logits[0] - logsumexp(logits))
-    total = 0.0
-    for i in range(logits.size):
-        total += logits[i] - logsumexp(logits[i:])
-    return float(total)
+    _, logits, lognorm, _ = _stage_terms(theta, obs)
+    return float(logits[: lognorm.size].sum() - lognorm.sum())
 
 
 def grad_loglik(theta: np.ndarray, obs: Observation) -> np.ndarray:
     """Gradient of the log-likelihood with respect to ``theta``."""
-    theta = _check_theta(theta, obs)
-    feats = _ordered_features(obs)
-    logits = theta @ feats
-    n_stages = 1 if isinstance(obs.feedback, WinnerFeedback) else logits.size
-    grad = feats[:, :n_stages].sum(axis=1)
-    for i in range(n_stages):
-        weights = _softmax(logits[i:])
-        grad -= feats[:, i:] @ weights
-    return grad
+    feats, _, lognorm, probs = _stage_terms(theta, obs)
+    return feats[:, : lognorm.size].sum(axis=1) - feats @ probs.sum(axis=0)
 
 
 def hessian_loglik(theta: np.ndarray, obs: Observation) -> np.ndarray:
     """Hessian of the log-likelihood; symmetric negative semi-definite."""
-    theta = _check_theta(theta, obs)
-    feats = _ordered_features(obs)
-    logits = theta @ feats
-    d = feats.shape[0]
-    n_stages = 1 if isinstance(obs.feedback, WinnerFeedback) else logits.size
-    hess = np.zeros((d, d))
-    for i in range(n_stages):
-        remaining = feats[:, i:]
-        weights = _softmax(logits[i:])
-        mean = remaining @ weights
-        second_moment = (remaining * weights) @ remaining.T
-        hess += np.outer(mean, mean) - second_moment
+    feats, _, _, probs = _stage_terms(theta, obs)
+    means = feats @ probs.T
+    hess = means @ means.T - (feats * probs.sum(axis=0)) @ feats.T
     return (hess + hess.T) / 2.0

@@ -7,8 +7,8 @@ utility, then the next one from the remainder, and so on.  In the
 contextual variant the utility of alternative i is ``exp(theta . x_i)``
 for a joint feature vector x_i.
 
-All probability computations run in log space with max-shifted
-log-sum-exp, so large inner products ``theta . x`` do not overflow.
+All probability computations run in log space, each choice stage
+normalized by its own log-sum-exp, so large ``theta . x`` do not overflow.
 Every function is pure; random sampling takes a caller-owned
 ``numpy.random.Generator``.
 """
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "Ranking",
@@ -183,13 +182,15 @@ def _check_subset(subset: Sequence[int], n: int) -> np.ndarray:
     return members
 
 
+def _suffix_log_normalizers(logits: np.ndarray) -> np.ndarray:
+    """``log sum_{j >= i} exp(logits[j])`` for every stage i, each shifted by its own max."""
+    return np.logaddexp.accumulate(logits[::-1])[::-1]
+
+
 def _log_prob_ordering(log_v: np.ndarray, ordering: Sequence[int]) -> float:
     """Log PL probability of observing ``ordering`` (best-first) among itself."""
     logits = log_v[np.asarray(ordering, dtype=int)]
-    total = 0.0
-    for i in range(logits.size):
-        total += logits[i] - logsumexp(logits[i:])
-    return total
+    return float(logits.sum() - _suffix_log_normalizers(logits).sum())
 
 
 def prob_full_ranking(utilities: UtilityVector, ranking: Ranking) -> float:
@@ -221,7 +222,7 @@ def prob_top_rank(utilities: UtilityVector, subset: Sequence[int], arm: int) -> 
     if int(arm) not in members:
         raise ValueError(f"arm {arm} is not a member of the subset")
     logs = utilities.log_values[members]
-    return float(np.exp(utilities.log_values[int(arm)] - logsumexp(logs)))
+    return float(np.exp(utilities.log_values[int(arm)] - _suffix_log_normalizers(logs)[0]))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Environment tests: simulators, regret, preprocessing, and CSV interfaces."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from preselect import (
     synthetic_round,
     true_utilities,
 )
+from preselect.cli import main as cli_main
 from preselect.likelihood import RankingFeedback, WinnerFeedback
 
 
@@ -303,6 +305,31 @@ class TestCsvLoading:
         bad.write_text("a,b,c,d\n1,2,3,4\n")
         with pytest.raises(ValueError):
             load_solver_features(bad)
+
+    def test_non_numeric_cell_names_file_and_line(self, tmp_path):
+        rt, fi, sf = self._write_files(tmp_path)
+        rt.write_text("instance_id,solver_0,solver_1\na,0.1,0.2\nb,x,0.3\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(rt))}: line 3: .*'x'"):
+            load_runtime_table(rt, fi, sf)
+        code = cli_main(["algoselect", "--k", "1", "--T", "2", "--runtimes", str(rt),
+                         "--instance-features", str(fi), "--solver-features", str(sf),
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+
+    def test_ragged_row_names_file_and_line(self, tmp_path):
+        rt, fi, sf = self._write_files(tmp_path)
+        fi.write_text("instance_id,f0,f1,f2\na,0.1,0.5,0.0\nb,0.1,0.5\nc,0.1,0.5,0.2\n")
+        with pytest.raises(
+            ValueError, match=rf"{re.escape(str(fi))}: line 3: expected 4 fields, found 3"
+        ):
+            load_runtime_table(rt, fi, sf)
+        sf.write_text("alpha,rho,ps,wp\n1.0,0.5,0.2,0.1\n\n1.5,0.6,0.3\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(sf))}: line 4: "):
+            load_solver_features(sf)
+        code = cli_main(["algoselect", "--k", "1", "--T", "2", "--runtimes", str(rt),
+                         "--instance-features", str(fi), "--solver-features", str(sf),
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 1
 
     def test_bundled_fixture(self):
         solver = bundled_solver_features()

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import preselect
 from preselect import (
     AggregatedResult,
     ConfigError,
@@ -223,6 +228,32 @@ class TestCli:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("T", 5.5), ("reps", 2.0), ("n", 20.0), ("seed", True),
+    ])
+    def test_non_integer_config_field_exits_one(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 5, "reps": 1, field: value}))
+        code = cli_main(["synthetic", "--config", str(cfg),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        code = cli_main(["synthetic", "--T", "5", "--reps", "1", "--seed", "-1",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
+    def test_config_file_not_an_object_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code = cli_main(["synthetic", "--config", str(cfg),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "expected a JSON object" in err
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             cli_main(["synthetic", "--bogus", "1"])
@@ -244,6 +275,22 @@ class TestCli:
         assert cli_main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_import_and_verify_load_no_scipy(self):
+        # numpy is the only runtime dependency; a fresh interpreter that
+        # imports the package and runs every self-check must not load scipy.
+        src = str(Path(preselect.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = (
+            "import sys, preselect, preselect.cli\n"
+            "assert preselect.cli.main(['verify']) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_algoselect_end_to_end(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from preselect import (
     ContextMatrix,
@@ -53,6 +56,84 @@ def fd_hessian(theta, obs, h=1e-5):
         e[j] = h
         hess[:, j] = (grad_loglik(theta + e, obs) - grad_loglik(theta - e, obs)) / (2 * h)
     return hess
+
+
+def reference_terms(theta, obs):
+    """Stage-by-stage reference for (loglik, grad, hess).
+
+    Each stage takes a softmax over the arms still available, shifted by
+    their own maximum; the chosen arm is then removed.
+    """
+    feats = obs.context.features
+    remaining = list(obs.subset)
+    ll, grad, hess = 0.0, np.zeros(theta.size), np.zeros((theta.size, theta.size))
+    for arm in obs.stages:
+        X = feats[:, remaining]
+        logits = theta @ X
+        weights = np.exp(logits - logits.max())
+        ll += theta @ feats[:, arm] - logits.max() - np.log(weights.sum())
+        probs = weights / weights.sum()
+        mean = X @ probs
+        grad += feats[:, arm] - mean
+        hess += np.outer(mean, mean) - (X * probs) @ X.T
+        remaining.remove(arm)
+    return ll, grad, hess
+
+
+_TINY = np.finfo(float).tiny
+
+
+@st.composite
+def spread_observations(draw):
+    """Observations with logits anywhere in [-700, 700], plus their theta.
+
+    Features are one-hot columns scaled by drawn logits, so theta = 1
+    reproduces the drawn logits exactly and a late ranking stage can sit
+    ~1400 below the first one.
+    """
+    size = draw(st.integers(1, 6))
+    logits = draw(arrays(np.float64, size, elements=st.floats(-700, 700)))
+    dense = draw(arrays(np.float64, (2, size), elements=st.floats(-1, 1)))
+    features = np.vstack([np.diag(logits), dense])
+    context = ContextMatrix(features)
+    subset = tuple(range(size))
+    order = list(draw(st.permutations(subset)))
+    if draw(st.booleans()):
+        feedback = WinnerFeedback(order[0])
+    else:
+        feedback = RankingFeedback(Ranking.from_ordering(order))
+    theta = np.concatenate([np.ones(size), draw(arrays(np.float64, 2, elements=st.floats(-1, 1)))])
+    return theta, Observation(feedback=feedback, subset=subset, context=context)
+
+
+class TestStageKernelReference:
+    @settings(max_examples=200, deadline=None)
+    @given(spread_observations())
+    @example((  # first stage at +700, the remaining stages near -700
+        np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
+        Observation(
+            feedback=RankingFeedback(Ranking.from_ordering((0, 2, 1))),
+            subset=(0, 1, 2),
+            context=ContextMatrix(np.vstack([np.diag([700.0, -699.0, -700.0]), np.ones((2, 3))])),
+        ),
+    ))
+    def test_matches_stage_loop(self, case):
+        theta, obs = case
+        # Underflow of a far-below stage weight to 0 is the correct result
+        # (the reference underflows the same way); everything else raises.
+        with np.errstate(all="raise", under="ignore"):
+            got = loglik(theta, obs), grad_loglik(theta, obs), hessian_loglik(theta, obs)
+            want = reference_terms(theta, obs)
+        # Relative to the size of the summed stage terms; subnormal results
+        # carry no relative precision, so the floor is the smallest normal.
+        logits = theta @ obs.context.features[:, list(obs.subset)]
+        x_max = np.abs(obs.context.features).max()
+        stages = len(obs.stages)
+        for value, ref, scale in zip(got, want, (
+            stages * max(np.abs(logits).max(), 1.0), stages * x_max, stages * x_max**2,
+        )):
+            assert np.all(np.isfinite(value))
+            assert np.max(np.abs(np.asarray(value) - ref)) <= max(1e-12 * scale, _TINY)
 
 
 class TestObservation:

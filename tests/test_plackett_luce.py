@@ -107,6 +107,13 @@ class TestContextualUtilities:
         v = contextual_utilities(np.ones(1), X)
         r = Ranking.from_ordering((0, 1, 2))
         assert prob_full_ranking(v, r) == pytest.approx(1.0 / 6.0, rel=1e-9)
+        # Spread logits: after the +700 arm leaves, both remaining stages sit
+        # ~1400 below the global maximum and must still normalize on their own.
+        v = UtilityVector.from_log([700.0, -700.0, 0.0, -690.0])
+        r = Ranking.from_ordering((0, 3, 1))
+        with np.errstate(all="raise", under="ignore"):
+            p = prob_partial_ranking(v, (0, 1, 3), r)
+        assert p == pytest.approx(1.0 / (1.0 + np.exp(-10.0)), rel=1e-12)
 
 
 class TestFullRanking:
