@@ -274,8 +274,8 @@ def algoselect_round(
         )
     row = int(order[t - 1])
     inst = table.instance_features[row]
-    columns = [np.kron(inst, table.solver_features[i]) for i in range(table.num_solvers)]
-    context = ContextMatrix(np.column_stack(columns), t=t)
+    features = inst[:, None, None] * table.solver_features.T
+    context = ContextMatrix(features.reshape(-1, table.num_solvers), t=t)
     utils = UtilityVector.from_log(-lam * table.runtimes[row])
     return context, utils
 

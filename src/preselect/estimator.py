@@ -167,20 +167,26 @@ def sgd_update(state: EstimatorState, obs: Observation) -> EstimatorState:
 def covariance(state: EstimatorState) -> np.ndarray:
     """Sandwich covariance estimate ``t^-1 S^-1 V S^-1`` for ``theta_bar``.
 
-    ``S = S_accum / t`` is negative semi-definite; when its smallest
-    eigenvalue magnitude falls below ``state.ridge`` it is shifted by
-    ``-ridge * I`` before inversion.  The result is symmetrized and
-    positive semi-definite regardless of the sign of S because S enters
-    twice.
+    Ridge rule: ``S = S_accum / t`` is shifted to ``S - ridge * I``
+    before inversion unless ``-S - ridge * I`` has a Cholesky factor,
+    that is, unless every eigenvalue of S is below ``-ridge``.  S is a
+    sum of Plackett-Luce Hessians and hence negative semi-definite, so
+    for it the rule shifts exactly when the smallest eigenvalue
+    magnitude is at most ``ridge``.  A user-built S with an eigenvalue at
+    or above ``-ridge`` (indefinite or positive) is always shifted.  The
+    result is symmetrized and positive semi-definite regardless of the
+    sign of S because S enters twice.
     """
     if state.t < 1:
         raise RuntimeError("covariance is undefined before the first update")
     t = state.t
     S = state.S_accum / t
     V = state.V_accum / t
-    eigenvalues = np.linalg.eigvalsh(S)
-    if np.min(np.abs(eigenvalues)) < state.ridge:
-        S = S - state.ridge * np.eye(state.d)
+    ridge = state.ridge * np.eye(state.d)
+    try:
+        np.linalg.cholesky(-S - ridge)
+    except np.linalg.LinAlgError:
+        S = S - ridge
     S_inv = np.linalg.inv(S)
     sigma = S_inv @ V @ S_inv / t
     return (sigma + sigma.T) / 2.0
@@ -208,18 +214,18 @@ def confidence_widths(
         )
     if omega < 0:
         raise ValueError("omega must be nonnegative")
-    logits = state.theta_bar @ context.features
+    X = context.features
     with np.errstate(over="ignore"):  # overflow becomes an explicit error below
-        utilities = np.exp(logits)
+        utilities = np.exp(state.theta_bar @ X)
         if not np.all(np.isfinite(utilities)):
             raise OverflowError("estimated utilities overflowed; rescale the features")
-        sigma = covariance(state)
-        quad = np.einsum("ij,jk,ki->i", context.features.T, sigma, context.features)
+        quad = ((covariance(state) @ X) * X).sum(axis=0)
         quad = np.maximum(quad, 0.0)  # guard tiny negative round-off
-        info = np.exp(2.0 * logits) * quad
         log_t = math.log(state.t)
         bracket = 2.0 * log_t + state.d + 2.0 * math.sqrt(state.d * log_t)
-        widths = omega * np.sqrt(bracket * info)
+        # sqrt(exp(2 logit)) = exp(logit): multiply by the utilities rather
+        # than form exp(2 logit), which overflows for logits above ~355.
+        widths = omega * utilities * np.sqrt(bracket * quad)
     if not np.all(np.isfinite(widths)):
         raise OverflowError("confidence widths overflowed; rescale the features")
     return ConfidenceWidths(widths=widths, utilities=utilities)

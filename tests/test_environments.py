@@ -225,19 +225,17 @@ class TestAlgoSelect:
         assert utils.values[0] > utils.values[1]
 
     def test_kronecker_layout(self, rng):
-        # Oracle: entry (4a + b) of the joint vector equals inst[a] * solver[b].
-        table = small_table(p=7)
-        order = np.arange(table.num_instances)
-        context, _ = algoselect_round(table, order, 3, lam=1.0)
-        inst = table.instance_features[order[2]]
-        assert context.features.shape == (28, table.num_solvers)
-        for i in range(table.num_solvers):
-            solver = table.solver_features[i]
-            for a in range(7):
-                for b in range(4):
-                    assert context.features[4 * a + b, i] == pytest.approx(
-                        inst[a] * solver[b], rel=1e-12
-                    )
+        # Oracle: arm i's column is np.kron(inst, solver_i), so entry
+        # (4a + b) is the single product inst[a] * solver_i[b], bit for bit.
+        for p in (7, 20):
+            table = small_table(p=p)
+            order = np.arange(table.num_instances)
+            context, _ = algoselect_round(table, order, 3, lam=1.0)
+            inst = table.instance_features[order[2]]
+            expected = np.column_stack([np.kron(inst, solver) for solver in table.solver_features])
+            assert context.features.shape == (4 * p, table.num_solvers)
+            assert np.array_equal(context.features, expected)
+            assert context.features[4 * 2 + 1, 3] == inst[2] * table.solver_features[3, 1]
 
     def test_exhaustion(self):
         table = small_table(num_instances=3)

@@ -1,6 +1,7 @@
 """Estimator tests: averaged SGD bookkeeping, covariance, widths, tail bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,6 +129,90 @@ class TestSgdUpdate:
         assert errors[20000] < errors[2000]
 
 
+def reference_ridged(state):
+    """The eigenvalue ridge test that the Cholesky rule replaced."""
+    return np.min(np.abs(np.linalg.eigvalsh(state.S_accum / state.t))) < state.ridge
+
+
+def reference_covariance(state, ridged):
+    """Sandwich covariance by ``inv`` with the ridge shift on or off."""
+    S = state.S_accum / state.t
+    if ridged:
+        S = S - state.ridge * np.eye(state.d)
+    S_inv = np.linalg.inv(S)
+    sigma = S_inv @ (state.V_accum / state.t) @ S_inv / state.t
+    return (sigma + sigma.T) / 2.0
+
+
+def reference_widths(state, X, omega):
+    """Widths by the three-operand einsum and ``exp(2 logit)``."""
+    logits = state.theta_bar @ X
+    sigma = reference_covariance(state, reference_ridged(state))
+    quad = np.maximum(np.einsum("ij,jk,ki->i", X.T, sigma, X), 0.0)
+    log_t = math.log(state.t)
+    bracket = 2.0 * log_t + state.d + 2.0 * math.sqrt(state.d * log_t)
+    return omega * np.sqrt(bracket * np.exp(2.0 * logits) * quad)
+
+
+RIDGE = 1e-6
+
+
+def nsd_state(rng, d, t, curvature):
+    """State at ``t`` whose normalized curvature is ``-curvature`` (PSD given)."""
+    B = rng.normal(size=(d, d))
+    return EstimatorState(
+        theta_hat=np.zeros(d),
+        theta_bar=rng.uniform(-0.5, 0.5, size=d),
+        t=t,
+        S_accum=-t * curvature,
+        V_accum=t * (B @ B.T / d),
+        gamma1=2.0,
+        alpha=0.6,
+        ridge=RIDGE,
+    )
+
+
+def ridge_cases(rng, d):
+    """NSD curvatures around the ridge: full rank, rank-deficient, and with
+    the smallest eigenvalue of -S/t placed at 0.5 ridge and at 2 ridge."""
+    for terms in (d + 3, d - 1, d // 2):  # sums of rank-one Hessian-like terms
+        G = rng.normal(size=(terms, d))
+        yield G.T @ G / terms
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    for smallest in (0.5 * RIDGE, 2.0 * RIDGE):
+        eig = rng.uniform(0.5, 2.0, size=d)
+        eig[rng.integers(d)] = smallest
+        yield (Q * eig) @ Q.T
+
+
+class TestRidgeRuleReference:
+    @pytest.mark.parametrize("d", [2, 5, 80])
+    def test_matches_eigenvalue_rule(self, d):
+        rng = np.random.default_rng(400 + d)
+        decisions = set()
+        for curvature in ridge_cases(rng, d):
+            state = nsd_state(rng, d, int(rng.integers(1, 500)), curvature)
+            ridged = reference_ridged(state)
+            decisions.add(ridged)
+            sigma = covariance(state)
+            want = reference_covariance(state, ridged)
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(sigma, want, rtol=1e-9, atol=1e-9 * scale)
+            # The other decision gives a visibly different matrix (or none),
+            # so the match above pins the decision itself.
+            try:
+                other = reference_covariance(state, not ridged)
+            except np.linalg.LinAlgError:
+                other = None
+            if other is not None and np.all(np.isfinite(other)):
+                assert np.abs(other - want).max() > 1e-6 * scale
+            X = rng.uniform(size=(d, 7))
+            cw = confidence_widths(state, ContextMatrix(X), omega=1.3)
+            np.testing.assert_array_equal(cw.utilities, np.exp(state.theta_bar @ X))
+            np.testing.assert_allclose(cw.widths, reference_widths(state, X, 1.3), rtol=1e-9)
+        assert decisions == {True, False}
+
+
 class TestCovariance:
     def test_requires_an_update(self, rng):
         with pytest.raises(RuntimeError):
@@ -233,10 +318,25 @@ class TestConfidenceWidths:
         np.testing.assert_array_equal(w2, 2.0 * w1)
 
     def test_overflow_raises(self, rng):
-        state = random_state(rng, 2)
+        # Logits of 1000 overflow the utilities themselves.
+        state = replace(random_state(rng, 2), theta_bar=np.ones(2))
         context = ContextMatrix(np.full((2, 3), 500.0))
         with pytest.raises(OverflowError):
             confidence_widths(state, context, omega=1.0)
+
+    def test_large_finite_logits_give_finite_widths(self, rng):
+        # Logit 400: exp(2 * 400) overflows, but v_hat = exp(400) and the
+        # width v_hat * sqrt(bracket * x^T Sigma x) are finite.
+        state = replace(random_state(rng, 2), theta_bar=np.array([400.0, 0.0]))
+        x = np.array([1.0, 0.2])
+        cw = confidence_widths(state, ContextMatrix(x[:, None]), omega=1.0)
+        log_t = math.log(state.t)
+        bracket = 2 * log_t + 2 + 2 * math.sqrt(2 * log_t)
+        v_hat = math.exp(400.0)
+        assert cw.utilities[0] == pytest.approx(v_hat, rel=1e-12)
+        expected = v_hat * math.sqrt(bracket * (x @ covariance(state) @ x))
+        assert math.isfinite(expected)
+        assert cw.widths[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestTailBounds:

@@ -13,11 +13,13 @@ import pytest
 import preselect
 from preselect import (
     AggregatedResult,
+    AlgoSelectEnvironment,
     ConfigError,
     ExperimentConfig,
     Policy,
     PolicyDecision,
     emit_results,
+    load_runtime_table,
     run_experiment,
     run_repetition,
     true_utilities,
@@ -143,6 +145,32 @@ class TestRunExperiment:
         assert result.mean_cum_regret[-1] == pytest.approx(
             np.mean(traces[:, -1]), abs=1e-12
         )
+
+
+    def test_algoselect_cppl_reruns_are_byte_identical(self, tmp_path):
+        # d = 10 instance features x 4 solver features = 40, so the
+        # curvature is singular and the ridge shift fires in early rounds.
+        rng = np.random.default_rng(4)
+        ids = [f"i{j}" for j in range(80)]
+
+        def write(name, header, values):
+            rows = [f"{i}," + ",".join(f"{v:.4f}" for v in row) for i, row in zip(ids, values)]
+            (tmp_path / name).write_text(",".join(["instance_id", *header]) + "\n"
+                                         + "\n".join(rows) + "\n")
+            return str(tmp_path / name)
+
+        runtimes = write("rt.csv", [f"solver_{s}" for s in range(20)], rng.uniform(0, 0.5, (80, 20)))
+        features = write("fi.csv", [f"f{a}" for a in range(10)], rng.uniform(size=(80, 10)))
+        env = AlgoSelectEnvironment(load_runtime_table(runtimes, features), lam=10.0, rng=rng)
+        assert env.d == 40
+        config = ExperimentConfig(
+            environment="algoselect", policy="cppl", k=5, T=60, reps=2, seed=3,
+            runtimes=runtimes, instance_features=features,
+        )
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        emit_results(run_experiment(config), first, "csv")
+        emit_results(run_experiment(config), second, "csv")
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestEmitResults:
