@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -105,6 +106,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be nonnegative")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        for name in ("gamma1", "alpha", "omega", "epsilon", "lam", "ridge"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                label = "lambda" if name == "lam" else name
+                raise ConfigError(f"{label} must be a finite number, got {value!r}")
         if not self.gamma1 > 0:
             raise ConfigError("gamma1 must be positive")
         if not 0.5 < self.alpha < 1.0:
@@ -115,6 +122,8 @@ class ExperimentConfig:
             raise ConfigError("epsilon must lie in [0, 1]")
         if self.lam < 0:
             raise ConfigError("lambda must be nonnegative")
+        if not self.ridge > 0:
+            raise ConfigError("ridge must be positive")
         if self.environment == "synthetic":
             if self.d < 1:
                 raise ConfigError("d must be >= 1")
@@ -199,7 +208,8 @@ def run_repetition(
 
     ``table`` may carry a preloaded runtime table to avoid re-reading
     files; ``policy`` overrides the configured policy (used for oracle
-    policies in tests).
+    policies in tests).  A failure inside the round loop is re-raised as
+    ``RuntimeError("round t: ...")``.
     """
     if config.environment == "algoselect" and table is None:
         table = load_runtime_table(
@@ -211,13 +221,17 @@ def run_repetition(
         policy = _build_policy(config, env, policy_rng)
 
     regrets = np.empty(config.T)
-    for t in range(1, config.T + 1):
-        context, utils = env.round(t)
-        policy.observe(context)
-        decision = policy.choose(config.k)
-        feedback = sample_feedback(utils, decision.subset, config.feedback, feedback_rng)
-        policy.update(feedback)
-        regrets[t - 1] = instant_regret(utils, decision.subset)
+    t = 0
+    try:
+        for t in range(1, config.T + 1):
+            context, utils = env.round(t)
+            policy.observe(context)
+            decision = policy.choose(config.k)
+            feedback = sample_feedback(utils, decision.subset, config.feedback, feedback_rng)
+            policy.update(feedback)
+            regrets[t - 1] = instant_regret(utils, decision.subset)
+    except Exception as exc:
+        raise RuntimeError(f"round {t}: {exc}") from exc
     return RegretTrace.from_instantaneous(regrets)
 
 

@@ -14,6 +14,7 @@ taken (masked in log space, so nothing overflows).  Then
     loglik = sum_i l_(i) - sum_i lognorm_i
     grad   = sum_i x_(i) - X (column sums of P)
     hess   = (X P^T)(X P^T)^T - X diag(column sums of P) X^T
+           = X C X^T,  C = P^T P - diag(column sums of P)  (k x k)
 """
 
 from __future__ import annotations
@@ -121,3 +122,16 @@ def hessian_loglik(theta: np.ndarray, obs: Observation) -> np.ndarray:
     means = feats @ probs.T
     hess = means @ means.T - (feats * probs.sum(axis=0)) @ feats.T
     return (hess + hess.T) / 2.0
+
+
+def _hessian_factors(theta: np.ndarray, obs: Observation) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (X, C) with ``hessian_loglik(theta, obs) = X C X^T``.
+
+    X is the d x k block of stage-ordered subset columns and C the k x k
+    core ``P^T P - diag(column sums of P)``; C is singular (C 1 = 0), so
+    a low-rank update built on it must not invert it.
+    """
+    feats, _, _, probs = _stage_terms(theta, obs)
+    core = probs.T @ probs
+    core[np.diag_indices_from(core)] -= probs.sum(axis=0)
+    return feats, core

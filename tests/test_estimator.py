@@ -8,7 +8,9 @@ import pytest
 
 from preselect import (
     ContextMatrix,
+    CPPLPolicy,
     EstimatorState,
+    ExperimentConfig,
     Observation,
     WinnerFeedback,
     chi2_tail_bounds,
@@ -21,6 +23,8 @@ from preselect import (
     sample_winner,
     sgd_update,
 )
+from preselect.environments import sample_feedback
+from preselect.harness import _build_environment, _streams
 
 
 def winner_obs(rng, d, n, k, theta_star=None):
@@ -211,6 +215,78 @@ class TestRidgeRuleReference:
             np.testing.assert_array_equal(cw.utilities, np.exp(state.theta_bar @ X))
             np.testing.assert_allclose(cw.widths, reference_widths(state, X, 1.3), rtol=1e-9)
         assert decisions == {True, False}
+
+    @pytest.mark.parametrize("d", [5, 80])
+    def test_carried_inverse_matches_eigenvalue_rule(self, d, monkeypatch):
+        # States carrying W = inv(S_accum), with the smallest eigenvalue of
+        # -S/t at 0.5 ridge (the test fails: fresh inv of the shifted S), at
+        # 1.2 ridge next to one at 1.3 ridge (||W||_F t ridge > 1, so the
+        # test runs and passes: t W) and at 2 ridge (the norm bound skips the
+        # test: t W), plus a well-conditioned full-rank case.
+        calls = {"cholesky": 0, "inv": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(500 + d)
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        G = rng.normal(size=(d + 3, d))
+        cases = [(G.T @ G / (d + 3), (0, 0))]
+        for smallest, expected_calls in (
+            ((0.5,), (1, 1)), ((1.2, 1.3), (1, 0)), ((2.0,), (0, 0)),
+        ):
+            eig = rng.uniform(0.5, 2.0, size=d)
+            eig[: len(smallest)] = np.array(smallest) * RIDGE
+            cases.append(((Q * eig) @ Q.T, expected_calls))
+        for curvature, expected_calls in cases:
+            state = nsd_state(rng, d, int(rng.integers(1, 500)), curvature)
+            state = replace(state, S_accum_inv=np.linalg.inv(state.S_accum))
+            calls.update(cholesky=0, inv=0)
+            sigma = covariance(state)
+            assert (calls["cholesky"], calls["inv"]) == expected_calls
+            want = reference_covariance(state, reference_ridged(state))
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(sigma, want, rtol=1e-9, atol=1e-9 * scale)
+            X = rng.uniform(size=(d, 7))
+            cw = confidence_widths(state, ContextMatrix(X), omega=1.3)
+            np.testing.assert_allclose(cw.widths, reference_widths(state, X, 1.3), rtol=1e-9)
+
+
+class TestCarriedInverse:
+    """CPPL at d=80 carries inv(S_accum) by Woodbury steps; check every round."""
+
+    @pytest.mark.parametrize("feedback", ["winner", "ranking"])
+    def test_long_run_tracks_inverse_and_ridge_rule(self, feedback):
+        config = ExperimentConfig(n=20, d=80, k=5, T=1000, reps=1, seed=21, feedback=feedback)
+        rep_seed, policy_rng, feedback_rng, setup_rng = _streams(config.seed, 0)
+        env = _build_environment(config, rep_seed, setup_rng, None)
+        policy = CPPLPolicy(config.d, policy_rng)
+        eye = np.eye(config.d)
+        carried = 0
+        for t in range(1, config.T + 1):
+            context, utils = env.round(t)
+            policy.observe(context)
+            subset = policy.choose(config.k).subset
+            policy.update(sample_feedback(utils, subset, feedback, feedback_rng))
+            state = policy.state
+            try:
+                np.linalg.cholesky(-state.S_accum / t - state.ridge * eye)
+                ridged = False
+            except np.linalg.LinAlgError:
+                ridged = True
+            if state.S_accum_inv is not None:
+                carried += 1
+                want = np.linalg.inv(state.S_accum)
+                err = np.abs(state.S_accum_inv - want).max()
+                assert err <= 1e-9 * np.abs(want).max(), (t, err)
+            else:
+                assert ridged, t  # the inverse is attached once the test passes
+            want = reference_covariance(state, ridged)
+            np.testing.assert_allclose(
+                covariance(state), want, rtol=1e-9, atol=1e-9 * np.abs(want).max()
+            )
+        assert carried > 0.9 * config.T
 
 
 class TestCovariance:

@@ -44,6 +44,24 @@ class OraclePolicy(Policy):
         pass
 
 
+class FailingPolicy(Policy):
+    """Test-only policy that raises ``ValueError("boom")`` in round ``at_round``."""
+
+    def __init__(self, at_round):
+        super().__init__()
+        self.at_round = at_round
+        self.rounds = 0
+
+    def _choose(self, context, k):
+        self.rounds += 1
+        if self.rounds == self.at_round:
+            raise ValueError("boom")
+        return PolicyDecision(subset=tuple(range(k)), scores=np.zeros(context.n))
+
+    def _update(self, obs):
+        pass
+
+
 def small_config(**overrides):
     base = dict(n=6, d=3, k=2, T=40, reps=3, seed=11, policy="cppl")
     base.update(overrides)
@@ -107,6 +125,10 @@ class TestRunRepetition:
             contexts[name] = np.stack([env.round(t)[0].features for t in range(1, 11)])
             np.testing.assert_array_equal(env.scenario.theta_star, env.scenario.theta_star)
         np.testing.assert_array_equal(contexts["a"], contexts["b"])
+
+    def test_failure_names_the_round(self):
+        with pytest.raises(RuntimeError, match=r"^round 3: boom$"):
+            run_repetition(small_config(T=10), 0, policy=FailingPolicy(at_round=3))
 
     def test_algoselect_exhaustion_is_config_error(self, tmp_path):
         rt = tmp_path / "rt.csv"
@@ -266,6 +288,37 @@ class TestCli:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert f"{field} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("omega", float("nan")), ("omega", float("inf")), ("lambda", float("nan")),
+        ("gamma1", float("inf")), ("alpha", float("nan")), ("epsilon", -float("inf")),
+        ("ridge", float("nan")), ("ridge", -1.0), ("ridge", 0.0), ("omega", "1.0"),
+    ])
+    def test_bad_float_config_field_exits_one(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 5, "reps": 1, field: value}))
+        code = cli_main(["synthetic", "--config", str(cfg),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"configuration error: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--omega", "--lambda"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_flag_exits_one(self, tmp_path, capsys, flag, value):
+        code = cli_main(["synthetic", "--T", "5", "--reps", "1", flag, value,
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"{flag[2:]} must be a finite number" in capsys.readouterr().err
+
+    def test_loop_failure_names_repetition_and_round(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            preselect.harness, "_build_policy", lambda *args: FailingPolicy(at_round=3)
+        )
+        code = cli_main(["synthetic", "--T", "10", "--reps", "1",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: repetition 0 failed: round 3: boom" in err
 
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         code = cli_main(["synthetic", "--T", "5", "--reps", "1", "--seed", "-1",

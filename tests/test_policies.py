@@ -7,7 +7,11 @@ import pytest
 
 from preselect import (
     ContextMatrix,
+    CPPLPolicy,
+    EpsilonGreedyPolicy,
     EstimatorState,
+    ExperimentConfig,
+    MaxThetaPolicy,
     MMPolicy,
     MMState,
     Observation,
@@ -21,8 +25,10 @@ from preselect import (
     mm_choose,
     mm_fit,
     sample_partial_ranking,
+    run_repetition,
     sample_winner,
 )
+from preselect import policies
 from preselect.policies import top_k_subset
 
 
@@ -388,3 +394,35 @@ class TestPolicyInterface:
             decision = policy.choose(3)
             assert len(set(decision.subset)) == 3
             assert all(0 <= i < 6 for i in decision.subset)
+
+
+class TestCPPLPolicy:
+    @pytest.mark.parametrize("omega", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_rejects_bad_omega(self, rng, omega):
+        with pytest.raises(ValueError, match="omega"):
+            CPPLPolicy(3, rng, omega=omega)
+
+    @pytest.mark.parametrize("d", [5, 80])
+    def test_carries_inverse_only_above_crossover(self, d):
+        config = ExperimentConfig(n=20, d=d, k=5, T=40, reps=1, seed=2)
+        carries = d >= policies._TRACK_INVERSE_MIN_D
+        for make, expected in (
+            (lambda rng: CPPLPolicy(d, rng), carries),
+            (lambda rng: MaxThetaPolicy(d, rng), False),
+            (lambda rng: EpsilonGreedyPolicy(d, rng), False),
+        ):
+            policy = make(np.random.default_rng(0))
+            run_repetition(config, 0, policy=policy)
+            assert (policy.state.S_accum_inv is not None) == expected
+
+    # One run below the crossover (fresh inv by default) and one above it
+    # (carried inverse by default); moving the crossover must not change
+    # a single choice.
+    @pytest.mark.parametrize("d", [5, 80])
+    @pytest.mark.parametrize("feedback", ["winner", "ranking"])
+    def test_both_inverse_paths_give_the_same_regret(self, d, feedback, monkeypatch):
+        config = ExperimentConfig(n=20, d=d, k=5, T=200, reps=1, seed=8, feedback=feedback)
+        default = run_repetition(config, 0).instantaneous
+        flipped = 10**9 if d >= policies._TRACK_INVERSE_MIN_D else 1
+        monkeypatch.setattr(policies, "_TRACK_INVERSE_MIN_D", flipped)
+        np.testing.assert_array_equal(run_repetition(config, 0).instantaneous, default)
