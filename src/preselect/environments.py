@@ -124,8 +124,8 @@ def instant_regret(true_utils: UtilityVector, subset) -> float:
     Zero whenever the best arm (lowest index under exact ties) is
     preselected; always in [0, 1].
     """
-    members = np.asarray(sorted(int(i) for i in subset), dtype=int)
-    if members.size == 0:
+    members = list(subset)
+    if not members:
         raise ValueError("subset must be nonempty")
     logs = true_utils.log_values
     best = float(np.max(logs))
@@ -327,6 +327,8 @@ class AlgoSelectEnvironment:
     """
 
     def __init__(self, table: RuntimeTable, lam: float, rng: np.random.Generator):
+        if not lam >= 0:  # also rejects NaN
+            raise ValueError(f"lam must be nonnegative, got {lam!r}")
         reduced, kept = preprocess_features(table.instance_features)
         self.table = replace(table, instance_features=reduced)
         self.kept_columns = kept
@@ -366,16 +368,18 @@ def _read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]
 
 
 def _float_matrix(
-    path: str | Path, header: list[str], rows: list[tuple[int, list[str]]], skip: int = 0
+    path: str | Path, header: list[str], rows: list[tuple[int, list[str]]], skip: int = 0,
+    nonnegative: bool = False,
 ) -> np.ndarray:
-    """Each row's cells after the first ``skip`` as floats; errors name file and line."""
+    """Each row's cells after the first ``skip`` as finite (and, if asked, nonnegative)
+    floats; errors name file and line."""
     for line, row in rows:
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: line {line}: expected {len(header)} fields, found {len(row)}"
             )
     try:
-        return np.array([row[skip:] for _, row in rows], dtype=float)
+        matrix = np.array([row[skip:] for _, row in rows], dtype=float)
     except ValueError:
         for line, row in rows:  # find the first row that does not parse
             try:
@@ -383,6 +387,15 @@ def _float_matrix(
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line}: {exc}") from None
         raise
+    ok = np.isfinite(matrix) & (matrix >= 0) if nonnegative else np.isfinite(matrix)
+    if not ok.all():
+        r, c = np.argwhere(~ok)[0]  # the first bad cell, in file order
+        line, row = rows[r]
+        rule = "finite and nonnegative" if nonnegative else "finite"
+        raise ValueError(
+            f"{path}: line {line}: {header[skip + c]} value {row[skip + c]!r} must be {rule}"
+        )
+    return matrix
 
 
 def load_runtime_table(
@@ -402,7 +415,7 @@ def load_runtime_table(
     if not rt_header or rt_header[0] != "instance_id":
         raise ValueError(f"{runtimes_path}: first column must be instance_id")
     ids = [row[0] for _, row in rt_rows]
-    runtimes = _float_matrix(runtimes_path, rt_header, rt_rows, skip=1)
+    runtimes = _float_matrix(runtimes_path, rt_header, rt_rows, skip=1, nonnegative=True)
 
     if_header, if_rows = _read_csv(instance_features_path)
     if not if_header or if_header[0] != "instance_id":
@@ -418,6 +431,10 @@ def load_runtime_table(
         solver = bundled_solver_features()
     else:
         solver = load_solver_features(solver_features_path)
+    if solver.shape[0] != len(rt_header) - 1:
+        source = solver_features_path or "the bundled solver features"
+        raise ValueError(f"{runtimes_path} has {len(rt_header) - 1} solver columns, "
+                         f"but {source} has {solver.shape[0]} solver rows")
     return RuntimeTable(runtimes=runtimes, instance_features=feats, solver_features=solver)
 
 

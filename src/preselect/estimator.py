@@ -138,22 +138,15 @@ class EstimatorState:
 
 @dataclass(frozen=True)
 class ConfidenceWidths:
-    """Per-arm estimated utilities and exploration bonuses for one round."""
+    """Per-arm estimated utilities and exploration bonuses for one round.
+
+    Unchecked: ``confidence_widths`` raises ``OverflowError`` on a
+    non-finite value, and its widths are >= 0 by construction.  The
+    utilities are ``exp(logit)``, 0 only where a logit below -745 underflows.
+    """
 
     widths: np.ndarray
     utilities: np.ndarray
-
-    def __post_init__(self):
-        widths = np.asarray(self.widths, dtype=float)
-        utils = np.asarray(self.utilities, dtype=float)
-        if widths.shape != utils.shape or widths.ndim != 1:
-            raise ValueError("widths and utilities must be vectors of equal length")
-        if not (np.all(np.isfinite(widths)) and np.all(widths >= 0)):
-            raise ValueError("widths must be finite and nonnegative")
-        if not (np.all(np.isfinite(utils)) and np.all(utils > 0)):
-            raise ValueError("utilities must be finite and positive")
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "utilities", utils)
 
 
 def sgd_update(state: EstimatorState, obs: Observation) -> EstimatorState:

@@ -77,8 +77,7 @@ class Observation:
     context: ContextMatrix
 
     def __post_init__(self):
-        members = _check_subset(self.subset, self.context.n)
-        object.__setattr__(self, "subset", tuple(int(i) for i in members))
+        object.__setattr__(self, "subset", _check_subset(self.subset, self.context.n))
         _check_feedback(self.subset, self.feedback)
 
     @property

@@ -38,9 +38,9 @@ class Ranking:
     """A bijection from a set of alternatives onto positions ``1..m``.
 
     ``items`` holds the members of the ranked set in sorted order and
-    ``ranks[j]`` is the (1-based) position assigned to ``items[j]``.
-    ``rank_of`` is therefore an O(1)-ish lookup and the bijection is easy
-    to check at construction.
+    ``ranks[j]`` is the (1-based) position assigned to ``items[j]``, so
+    the bijection is easy to check at construction.  ``rank_of`` scans
+    ``items`` (``tuple.index``), O(m) in the size of the ranked set.
     """
 
     items: tuple[int, ...]
@@ -61,9 +61,7 @@ class Ranking:
     def from_ordering(cls, ordering: Sequence[int]) -> "Ranking":
         """Build a ranking from alternatives listed best-first."""
         ordering = [int(a) for a in ordering]
-        items = sorted(ordering)
-        if len(set(items)) != len(items):
-            raise ValueError("ordering contains duplicate alternatives")
+        items = sorted(ordering)  # a repeated alternative fails the bijection check
         pos = {a: p + 1 for p, a in enumerate(ordering)}
         return cls(items=tuple(items), ranks=tuple(pos[a] for a in items))
 
@@ -78,10 +76,6 @@ class Ranking:
     def rank_of(self, item: int) -> int:
         """1-based position of ``item``."""
         return self.ranks[self.items.index(item)]
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self.items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -171,11 +165,12 @@ def contextual_utilities(theta: np.ndarray, context: ContextMatrix) -> UtilityVe
     return UtilityVector.from_log(theta @ context.features)
 
 
-def _check_subset(subset: Sequence[int], n: int) -> np.ndarray:
-    members = np.asarray(sorted(int(i) for i in subset), dtype=int)
-    if members.size == 0:
+def _check_subset(subset: Sequence[int], n: int) -> tuple[int, ...]:
+    """The one subset rule (nonempty, distinct, in [0, n)); returns the sorted ints."""
+    members = tuple(sorted(int(i) for i in subset))
+    if not members:
         raise ValueError("subset must be nonempty")
-    if np.unique(members).size != members.size:
+    if len(set(members)) != len(members):
         raise ValueError("subset members must be distinct")
     if members[0] < 0 or members[-1] >= n:
         raise ValueError(f"subset members must lie in [0, {n})")
@@ -211,7 +206,7 @@ def prob_partial_ranking(
     closed-form product of stage-wise choice probabilities.
     """
     members = _check_subset(subset, len(utilities))
-    if ranking.items != tuple(members):
+    if ranking.items != members:
         raise ValueError("ranking domain must equal the subset")
     return float(np.exp(_log_prob_ordering(utilities.log_values, ranking.ordering)))
 
@@ -221,7 +216,7 @@ def prob_top_rank(utilities: UtilityVector, subset: Sequence[int], arm: int) -> 
     members = _check_subset(subset, len(utilities))
     if int(arm) not in members:
         raise ValueError(f"arm {arm} is not a member of the subset")
-    logs = utilities.log_values[members]
+    logs = utilities.log_values[list(members)]
     return float(np.exp(utilities.log_values[int(arm)] - _suffix_log_normalizers(logs)[0]))
 
 
@@ -262,5 +257,5 @@ def sample_winner(
 ) -> int:
     """Draw the top-ranked arm of ``subset`` from the PL top-rank marginal."""
     members = _check_subset(subset, len(utilities))
-    logs = utilities.log_values[members]
-    return int(members[_categorical(_softmax(logs), rng)])
+    logs = utilities.log_values[list(members)]
+    return members[_categorical(_softmax(logs), rng)]

@@ -53,20 +53,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    """A chosen k-subset plus the per-arm scores that produced it."""
+    """A chosen k-subset plus the per-arm scores that produced it.
+
+    Unchecked: ``top_k_subset`` and ``rng.choice(replace=False)`` give
+    distinct, in-range ints; any other policy's subset is checked where
+    it first enters, by the sampler behind ``sample_feedback``.
+    """
 
     subset: tuple[int, ...]
     scores: np.ndarray
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float)
-        subset = tuple(int(i) for i in self.subset)
-        if len(set(subset)) != len(subset):
-            raise ValueError("subset members must be distinct")
-        if any(i < 0 or i >= scores.size for i in subset):
-            raise ValueError("subset members must index into the score vector")
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "scores", scores)
 
 
 def top_k_subset(scores: np.ndarray, k: int) -> tuple[int, ...]:
@@ -173,7 +168,7 @@ class MMState:
 
     def record(self, subset: tuple[int, ...], feedback: Feedback) -> "MMState":
         """Add one observation's stages to the statistics; weights are unchanged."""
-        subset = tuple(int(i) for i in _check_subset(subset, self.n))
+        subset = _check_subset(subset, self.n)
         _check_feedback(subset, feedback)
         if isinstance(feedback, WinnerFeedback):
             stages = [(subset, feedback.arm)]

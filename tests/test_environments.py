@@ -249,6 +249,11 @@ class TestAlgoSelect:
         assert sorted(env.order) == list(range(25))
         assert env.max_rounds == 25
 
+    @pytest.mark.parametrize("lam", [-1.0, -1e-12, float("nan")])
+    def test_environment_rejects_bad_lambda_when_built(self, rng, lam):
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            AlgoSelectEnvironment(small_table(), lam=lam, rng=rng)
+
     def test_environment_preprocesses_once(self, rng):
         table = small_table()
         env = AlgoSelectEnvironment(table, lam=10.0, rng=rng)
@@ -328,6 +333,51 @@ class TestCsvLoading:
                          "--instance-features", str(fi), "--solver-features", str(sf),
                          "--out", str(tmp_path / "out.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+    def test_bad_runtime_names_file_and_line(self, tmp_path, capsys, value):
+        rt, fi, sf = self._write_files(tmp_path)
+        rt.write_text(f"instance_id,solver_0,solver_1\na,0.1,0.2\nb,0.2,{value}\nc,0.3,0.4\n")
+        expected = f"{rt}: line 3: solver_1 value '{value}' must be finite and nonnegative"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            load_runtime_table(rt, fi, sf)
+        code = cli_main(["algoselect", "--k", "1", "--T", "2", "--runtimes", str(rt),
+                         "--instance-features", str(fi), "--solver-features", str(sf),
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feature_names_file_and_line(self, tmp_path, value):
+        rt, fi, sf = self._write_files(tmp_path)
+        fi.write_text(f"instance_id,f0,f1,f2\na,0.1,0.5,0.0\nb,0.1,0.5,0.1\nc,0.1,{value},0.2\n")
+        expected = f"{fi}: line 4: f1 value '{value}' must be finite"
+        with pytest.raises(ValueError, match=re.escape(expected) + "$"):
+            load_runtime_table(rt, fi, sf)
+        sf.write_text(f"alpha,rho,ps,wp\n1.0,0.5,0.2,0.1\n1.5,0.6,0.3,{value}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{sf}: line 3: wp value '{value}'")):
+            load_solver_features(sf)
+
+    def test_negative_feature_is_allowed(self, tmp_path):
+        rt, fi, sf = self._write_files(tmp_path)
+        fi.write_text("instance_id,f0,f1,f2\na,-0.1,0.5,0.0\nb,0.1,0.5,0.1\nc,0.1,0.5,0.2\n")
+        assert load_runtime_table(rt, fi, sf).instance_features[0, 0] == -0.1
+
+    def test_solver_count_mismatch_names_both_files(self, tmp_path, capsys):
+        rt, fi, sf = self._write_files(tmp_path)
+        sf.write_text("alpha,rho,ps,wp\n1.0,0.5,0.2,0.1\n1.5,0.6,0.3,0.2\n2.0,0.7,0.4,0.3\n")
+        expected = f"{rt} has 2 solver columns, but {sf} has 3 solver rows"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            load_runtime_table(rt, fi, sf)
+        with pytest.raises(ValueError, match=re.escape(
+            f"{rt} has 2 solver columns, but the bundled solver features has 20 solver rows"
+        )):
+            load_runtime_table(rt, fi)
+        code = cli_main(["algoselect", "--k", "1", "--T", "2", "--runtimes", str(rt),
+                         "--instance-features", str(fi), "--solver-features", str(sf),
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert expected in capsys.readouterr().err
 
     def test_bundled_fixture(self):
         solver = bundled_solver_features()

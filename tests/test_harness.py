@@ -62,6 +62,20 @@ class FailingPolicy(Policy):
         pass
 
 
+class FixedSubsetPolicy(Policy):
+    """Test-only policy that plays the same, possibly invalid, subset every round."""
+
+    def __init__(self, subset):
+        super().__init__()
+        self.subset = subset
+
+    def _choose(self, context, k):
+        return PolicyDecision(subset=self.subset, scores=np.zeros(context.n))
+
+    def _update(self, obs):
+        pass
+
+
 def small_config(**overrides):
     base = dict(n=6, d=3, k=2, T=40, reps=3, seed=11, policy="cppl")
     base.update(overrides)
@@ -103,6 +117,14 @@ class TestRunRepetition:
         env = _build_environment(config, rep_seed, setup_rng, None)
         trace = run_repetition(config, 0, policy=OraclePolicy(env.scenario.theta_star))
         np.testing.assert_array_equal(trace.instantaneous, 0.0)
+
+    @pytest.mark.parametrize("feedback", ["winner", "ranking"])
+    @pytest.mark.parametrize("subset", [(0, 0), (0, 6), (-1, 0)])
+    def test_invalid_policy_subset_fails_at_the_sampler(self, feedback, subset):
+        # PolicyDecision does not check its subset; the feedback sampler does.
+        config = small_config(feedback=feedback, T=3)  # n = 6
+        with pytest.raises(RuntimeError, match=r"^round 1: subset members must"):
+            run_repetition(config, 0, policy=FixedSubsetPolicy(subset))
 
     @pytest.mark.parametrize("policy", ["cppl", "maxtheta", "egreedy", "mm"])
     @pytest.mark.parametrize("feedback", ["winner", "ranking"])

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from preselect import (
     ContextMatrix,
+    MMState,
+    Observation,
     Ranking,
     UtilityVector,
+    WinnerFeedback,
     contextual_utilities,
     prob_full_ranking,
     prob_partial_ranking,
@@ -288,3 +291,47 @@ class TestSampling:
         seq_a = [sample_winner(v, (0, 1, 2), rng_a) for _ in range(50)]
         seq_b = [sample_winner(v, (0, 1, 2), rng_b) for _ in range(50)]
         assert seq_a == seq_b
+
+
+def subset_entries():
+    """Every public entry that takes a subset, as a call on the subset over n=4 arms."""
+    utils = UtilityVector.from_values([1.0, 2.0, 3.0, 4.0])
+    context = ContextMatrix(np.ones((2, 4)))
+    rng = np.random.default_rng(0)
+    return {
+        "sample_winner": lambda s: sample_winner(utils, s, rng),
+        "sample_partial_ranking": lambda s: sample_partial_ranking(utils, s, rng),
+        "prob_top_rank": lambda s: prob_top_rank(utils, s, 0),
+        "prob_partial_ranking": lambda s: prob_partial_ranking(
+            utils, s, Ranking.from_ordering((1, 0))
+        ),
+        "Observation": lambda s: Observation(WinnerFeedback(0), s, context).subset,
+        "MMState.record": lambda s: MMState.uniform(4).record(s, WinnerFeedback(0)),
+    }
+
+
+class TestSubsetRule:
+    """One rule for a subset of n arms: nonempty, distinct, inside [0, n)."""
+
+    @pytest.mark.parametrize("entry", sorted(subset_entries()))
+    @pytest.mark.parametrize(
+        "subset, message",
+        [
+            ((), "subset must be nonempty"),
+            ((0, 2, 0), "subset members must be distinct"),
+            ((-1, 0), r"subset members must lie in \[0, 4\)"),
+            ((0, 4), r"subset members must lie in \[0, 4\)"),
+        ],
+        ids=["empty", "repeated", "negative", "too-large"],
+    )
+    def test_every_entry_rejects_a_bad_subset(self, entry, subset, message):
+        with pytest.raises(ValueError, match=message):
+            subset_entries()[entry](subset)
+
+    @pytest.mark.parametrize("entry", sorted(subset_entries()))
+    def test_every_entry_accepts_unsorted_numpy_members(self, entry):
+        subset_entries()[entry](np.array([1, 0]))
+
+    def test_observation_stores_sorted_python_ints(self):
+        subset = subset_entries()["Observation"](np.array([3, 0, 1]))
+        assert subset == (0, 1, 3) and all(type(i) is int for i in subset)
