@@ -4,7 +4,7 @@ Subcommands:
 
 * ``preselect synthetic``  — regret experiment on the synthetic world.
 * ``preselect algoselect`` — regret experiment on a runtime table.
-* ``preselect verify``     — quick numeric self-checks.
+* ``preselect verify``     — the acceptance suite's numeric checks at small sizes.
 
 Parameters come from flags, optionally layered over a flat JSON config
 file (``--config``); flags given explicitly win.  Exit codes: 0 success,
@@ -14,6 +14,7 @@ file (``--config``); flags given explicitly win.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -87,12 +88,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         values.pop("environment", None)  # the subcommand decides
         if "lambda" in values:
             values["lam"] = values.pop("lambda")
-    for key in (
-        "n", "d", "k", "T", "reps", "seed", "policy", "feedback", "gamma1",
-        "alpha", "omega", "epsilon", "lam", "runtimes", "instance_features",
-        "solver_features", "out", "format",
-    ):
-        flag = getattr(args, key, None)
+    for key in (f.name for f in dataclasses.fields(ExperimentConfig)):
+        flag = getattr(args, key, None)  # None for ridge and environment: no flag
         if flag is not None:
             values[key] = flag
     values["environment"] = args.command

@@ -33,6 +33,7 @@ from .likelihood import Feedback, RankingFeedback, WinnerFeedback
 from .plackett_luce import (
     ContextMatrix,
     UtilityVector,
+    _check_subset,
     contextual_utilities,
     sample_partial_ranking,
     sample_winner,
@@ -124,12 +125,10 @@ def instant_regret(true_utils: UtilityVector, subset) -> float:
     Zero whenever the best arm (lowest index under exact ties) is
     preselected; always in [0, 1].
     """
-    members = list(subset)
-    if not members:
-        raise ValueError("subset must be nonempty")
+    members = _check_subset(subset, len(true_utils))
     logs = true_utils.log_values
     best = float(np.max(logs))
-    best_in_subset = float(np.max(logs[members]))
+    best_in_subset = float(np.max(logs[list(members)]))
     return 1.0 - float(np.exp(best_in_subset - best))
 
 
@@ -357,14 +356,17 @@ class AlgoSelectEnvironment:
 
 
 def _read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header and nonblank rows of a CSV file, each row with its 1-based line."""
+    """Header and nonblank rows (at least one) of a CSV file, each row with its 1-based line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        return header, [(reader.line_num, row) for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return header, rows
 
 
 def _float_matrix(

@@ -35,50 +35,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Ranking:
-    """A bijection from a set of alternatives onto positions ``1..m``.
+    """Distinct alternatives listed best-first: ``ordering[0]`` is ranked first.
 
-    ``items`` holds the members of the ranked set in sorted order and
-    ``ranks[j]`` is the (1-based) position assigned to ``items[j]``, so
-    the bijection is easy to check at construction.  ``rank_of`` scans
-    ``items`` (``tuple.index``), O(m) in the size of the ranked set.
+    ``items`` (the ranked set, sorted) and ``rank_of`` are derived from
+    the ordering; ``rank_of`` is a scan, O(m) in the size of the set.
     """
 
-    items: tuple[int, ...]
-    ranks: tuple[int, ...]
+    ordering: tuple[int, ...]
 
     def __post_init__(self):
-        m = len(self.items)
-        if m == 0:
+        ordering = tuple(int(a) for a in self.ordering)
+        if not ordering:
             raise ValueError("ranking must cover at least one alternative")
-        if len(self.ranks) != m:
-            raise ValueError("items and ranks must have equal length")
-        if list(self.items) != sorted(set(self.items)):
-            raise ValueError("items must be sorted and distinct")
-        if sorted(self.ranks) != list(range(1, m + 1)):
-            raise ValueError("ranks must be a bijection onto 1..m")
+        if len(set(ordering)) != len(ordering):
+            raise ValueError("ranking must not repeat an alternative")
+        object.__setattr__(self, "ordering", ordering)
 
     @classmethod
     def from_ordering(cls, ordering: Sequence[int]) -> "Ranking":
         """Build a ranking from alternatives listed best-first."""
-        ordering = [int(a) for a in ordering]
-        items = sorted(ordering)  # a repeated alternative fails the bijection check
-        pos = {a: p + 1 for p, a in enumerate(ordering)}
-        return cls(items=tuple(items), ranks=tuple(pos[a] for a in items))
+        return cls(ordering)
 
     @property
-    def ordering(self) -> tuple[int, ...]:
-        """Alternatives listed best-first (the inverse map)."""
-        order = [0] * len(self.items)
-        for item, rank in zip(self.items, self.ranks):
-            order[rank - 1] = item
-        return tuple(order)
+    def items(self) -> tuple[int, ...]:
+        """The ranked alternatives in sorted order."""
+        return tuple(sorted(self.ordering))
 
     def rank_of(self, item: int) -> int:
         """1-based position of ``item``."""
-        return self.ranks[self.items.index(item)]
+        return self.ordering.index(item) + 1
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.ordering)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Acceptance suite: one test per release criterion, at pinned tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
-line per criterion.  Criteria 8 and 9 share one full-scale regret
-experiment (three policies, 20 repetitions of 2000 rounds each) and
-dominate the suite's runtime.
+line per criterion.  Criteria 1-4 and 6 call the checks of
+``preselect.selfcheck`` with their own seeds, sizes and time limits;
+``preselect verify`` runs the same checks at small sizes.  Criteria 8
+and 9 share one full-scale regret experiment (three policies, 20
+repetitions of 2000 rounds each) and dominate the suite's runtime.
 """
 
 import csv
@@ -16,42 +18,31 @@ import numpy as np
 import pytest
 
 from preselect import (
-    ContextMatrix,
-    EstimatorState,
     ExperimentConfig,
     MMState,
-    Observation,
-    Ranking,
-    RankingFeedback,
     UtilityVector,
     WinnerFeedback,
     chi2_tail_bounds,
     chi2_upper_tail_bound,
-    confidence_widths,
-    contextual_utilities,
-    covariance,
-    cppl_choose,
     emit_results,
     f_tail_bound,
     f_tail_threshold,
-    grad_loglik,
-    hessian_loglik,
-    loglik,
-    max_theta_choose,
     mm_fit,
     preprocess_features,
-    prob_full_ranking,
-    prob_partial_ranking,
-    prob_top_rank,
     run_experiment,
-    sample_partial_ranking,
     sample_winner,
 )
-from preselect.policies import top_k_subset
+from preselect.selfcheck import (
+    derivative_errors,
+    failures,
+    pl_exactness_errors,
+    ranking_deviation,
+    top_k_errors,
+    width_errors,
+    winner_deviation,
+)
 
 from test_environments import preprocessing_fixture
-from test_likelihood import fd_gradient, fd_hessian, random_observation
-from test_policies import brute_force_best_subset_exact
 
 
 def report(num, description, ok, detail=""):
@@ -78,109 +69,28 @@ def regret_results():
 
 def test_criterion_01_gradient_and_hessian_correctness():
     start = time.perf_counter()
-    rng = np.random.default_rng(1001)
-    worst_grad, worst_hess, worst_eig, worst_asym = 0.0, 0.0, -np.inf, 0.0
-    for mode in ("winner", "ranking"):
-        for _ in range(100):
-            d = int(rng.integers(2, 7))
-            size = int(rng.integers(2, 6))
-            n = size + int(rng.integers(0, 3))
-            obs = random_observation(rng, d, n, size, mode)
-            theta = rng.uniform(size=d)
-
-            grad = grad_loglik(theta, obs)
-            fd_g = fd_gradient(theta, obs, h=1e-5)
-            worst_grad = max(
-                worst_grad,
-                np.linalg.norm(grad - fd_g) / max(np.linalg.norm(fd_g), 1e-8),
-            )
-
-            hess = hessian_loglik(theta, obs)
-            fd_h = fd_hessian(theta, obs, h=1e-5)
-            worst_hess = max(
-                worst_hess,
-                np.linalg.norm(hess - fd_h) / max(np.linalg.norm(fd_h), 1e-8),
-            )
-            worst_asym = max(worst_asym, np.max(np.abs(hess - hess.T)))
-            worst_eig = max(worst_eig, np.linalg.eigvalsh(hess).max())
+    err = derivative_errors(np.random.default_rng(1001), cases=100)
     elapsed = time.perf_counter() - start
-    ok = (
-        worst_grad < 1e-5
-        and worst_hess < 1e-4
-        and worst_asym < 1e-12
-        and worst_eig <= 1e-10
-        and elapsed < 10.0
-    )
-    report(
-        1,
-        "analytic gradients/Hessians match finite differences, NSD",
-        ok,
-        f"grad {worst_grad:.2e}, hess {worst_hess:.2e}, "
-        f"max eig {worst_eig:.2e}, {elapsed:.1f}s",
-    )
+    ok = not failures(err) and elapsed < 10.0
+    report(1, "analytic gradients/Hessians match finite differences, NSD", ok,
+           f"grad {err['grad']:.2e}, hess {err['hess']:.2e}, "
+           f"max eig {err['max_eig']:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_02_pl_model_exactness():
     start = time.perf_counter()
-    rng = np.random.default_rng(1002)
-    worst = 0.0
-    for n in range(2, 6):
-        utils = UtilityVector.from_values(rng.uniform(0.1, 3.0, size=n))
-        total = sum(
-            prob_full_ranking(utils, Ranking.from_ordering(p))
-            for p in itertools.permutations(range(n))
-        )
-        worst = max(worst, abs(total - 1.0))
-
-        # Partial rankings equal their linear-extension sums, |S| <= 3.
-        for size in range(1, min(3, n) + 1):
-            for subset in itertools.combinations(range(n), size):
-                for sub_perm in itertools.permutations(subset):
-                    direct = prob_partial_ranking(
-                        utils, subset, Ranking.from_ordering(sub_perm)
-                    )
-                    brute = sum(
-                        prob_full_ranking(utils, Ranking.from_ordering(p))
-                        for p in itertools.permutations(range(n))
-                        if tuple(a for a in p if a in set(subset)) == sub_perm
-                    )
-                    worst = max(worst, abs(direct - brute))
-
-        for size in range(1, n + 1):
-            for subset in itertools.combinations(range(n), size):
-                top_sum = sum(prob_top_rank(utils, subset, i) for i in subset)
-                worst = max(worst, abs(top_sum - 1.0))
+    err = pl_exactness_errors(np.random.default_rng(1002), max_n=5)
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-12 and elapsed < 5.0
+    ok = not failures(err) and elapsed < 5.0
     report(2, "PL probabilities exact for n <= 5", ok,
-           f"max deviation {worst:.2e}, {elapsed:.1f}s")
+           f"max deviation {max(err.values()):.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_03_sampler_fidelity():
     start = time.perf_counter()
     rng = np.random.default_rng(1003)
-
-    utils4 = UtilityVector.from_values(np.ones(4))
-    subset4 = (0, 1, 2, 3)
-    draws = 100000
-    counts = np.zeros(4)
-    for _ in range(draws):
-        counts[sample_winner(utils4, subset4, rng)] += 1
-    winner_dev = np.max(np.abs(counts / draws
-                               - [prob_top_rank(utils4, subset4, i) for i in subset4]))
-
-    utils3 = UtilityVector.from_values(np.ones(3))
-    subset3 = (0, 1, 2)
-    draws_r = 60000
-    freq = {}
-    for _ in range(draws_r):
-        r = sample_partial_ranking(utils3, subset3, rng)
-        freq[r.ordering] = freq.get(r.ordering, 0) + 1
-    ranking_dev = max(
-        abs(freq.get(p, 0) / draws_r
-            - prob_partial_ranking(utils3, subset3, Ranking.from_ordering(p)))
-        for p in itertools.permutations(subset3)
-    )
+    winner_dev = winner_deviation(rng, 100000, np.ones(4))
+    ranking_dev = ranking_deviation(rng, 60000, np.ones(3))
     elapsed = time.perf_counter() - start
     ok = winner_dev <= 0.006 and ranking_dev <= 0.01 and elapsed < 10.0
     report(3, "sampler frequencies match the model", ok,
@@ -188,59 +98,10 @@ def test_criterion_03_sampler_fidelity():
 
 
 def test_criterion_04_confidence_width_identity():
-    rng = np.random.default_rng(1004)
-    worst = 0.0
-    for _ in range(100):
-        d = int(rng.integers(2, 6))
-        A = rng.normal(size=(d, d))
-        B = rng.normal(size=(d, d))
-        state = EstimatorState(
-            theta_hat=rng.uniform(size=d),
-            theta_bar=rng.uniform(size=d),
-            t=int(rng.integers(1, 100)),
-            S_accum=-(A @ A.T + np.eye(d)),
-            V_accum=B @ B.T,
-            gamma1=2.0,
-            alpha=0.6,
-        )
-        context = ContextMatrix(rng.uniform(size=(d, 5)))
-        cw = confidence_widths(state, context, omega=1.0)
-        sigma = covariance(state)
-        evals, evecs = np.linalg.eigh(sigma)
-        root = evecs @ np.diag(np.sqrt(np.maximum(evals, 0))) @ evecs.T
-        log_t = math.log(state.t)
-        bracket = 2 * log_t + d + 2 * math.sqrt(d * log_t)
-        for i in range(context.n):
-            x = context.column(i)
-            M = math.exp(2 * x @ state.theta_bar) * np.outer(x, x)
-            op_norm = max(np.linalg.eigvalsh(root @ M @ root).max(), 0.0)
-            expected = math.sqrt(bracket * op_norm)
-            if expected > 0:
-                worst = max(worst, abs(cw.widths[i] - expected) / expected)
-
-    agree = 0
-    for _ in range(1000):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(3, 9))
-        A = rng.normal(size=(d, d))
-        B = rng.normal(size=(d, d))
-        state = EstimatorState(
-            theta_hat=rng.uniform(size=d),
-            theta_bar=rng.uniform(size=d),
-            t=int(rng.integers(0, 50)),
-            S_accum=-(A @ A.T + np.eye(d)),
-            V_accum=B @ B.T,
-            gamma1=2.0,
-            alpha=0.6,
-        )
-        context = ContextMatrix(rng.uniform(size=(d, n)))
-        k = int(rng.integers(1, n))
-        same = (cppl_choose(state, context, k, 0.0).subset
-                == max_theta_choose(state, context, k).subset)
-        agree += same
-    ok = worst < 1e-8 and agree == 1000
-    report(4, "rank-one width identity; omega=0 reduces to greedy", ok,
-           f"max rel err {worst:.2e}, agreement {agree}/1000")
+    err = width_errors(np.random.default_rng(1004), width_cases=100, greedy_cases=1000)
+    report(4, "rank-one width identity; omega=0 reduces to greedy", not failures(err),
+           f"max rel err {err['width']:.2e}, "
+           f"agreement {1000 - err['disagreements']}/1000")
 
 
 def test_criterion_05_tail_bounds_monte_carlo():
@@ -284,19 +145,10 @@ def test_criterion_05_tail_bounds_monte_carlo():
 
 
 def test_criterion_06_subset_argmax_equivalence():
-    rng = np.random.default_rng(1006)
-    checked = 0
-    ok = True
-    for n in range(3, 11):
-        for k in range(1, n):
-            for _ in range(5):
-                hundredths = rng.integers(-300, 301, size=n)
-                scores = hundredths / 100.0
-                if top_k_subset(scores, k) != brute_force_best_subset_exact(hundredths, k):
-                    ok = False
-                checked += 1
-    report(6, "top-k equals exhaustive subset-sum argmax", ok and checked >= 200,
-           f"{checked} instances, n <= 10")
+    err = top_k_errors(np.random.default_rng(1006), max_n=10)
+    report(6, "top-k equals exhaustive subset-sum argmax",
+           not failures(err) and err["instances"] >= 200,
+           f"{err['instances']} instances, n <= 10")
 
 
 def test_criterion_07_mm_recovery():

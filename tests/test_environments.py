@@ -303,6 +303,20 @@ class TestCsvLoading:
         with pytest.raises(ValueError):
             load_runtime_table(rt, fi, sf)
 
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["runtimes", "features", "solvers"])
+    def test_header_only_file_names_file(self, tmp_path, capsys, which):
+        files = self._write_files(tmp_path)
+        path = files[which]
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no data rows$"):
+            load_runtime_table(*files)
+        rt, fi, sf = files
+        code = cli_main(["algoselect", "--k", "1", "--T", "2", "--runtimes", str(rt),
+                         "--instance-features", str(fi), "--solver-features", str(sf),
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert f"{path}: no data rows" in capsys.readouterr().err
+
     def test_solver_features_header_checked(self, tmp_path):
         bad = tmp_path / "solvers.csv"
         bad.write_text("a,b,c,d\n1,2,3,4\n")

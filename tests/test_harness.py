@@ -379,6 +379,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_verify_fails_each_bad_check_and_runs_the_rest(self, monkeypatch, capsys):
+        def broken(rng, max_n):
+            raise RuntimeError("broken check")
+
+        monkeypatch.setattr(preselect.selfcheck, "winner_deviation", lambda *args: 1.0)
+        monkeypatch.setattr(preselect.selfcheck, "top_k_errors", broken)
+        assert cli_main(["verify"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 2
+        assert "criterion 3" in failed[0] and "winner 1," in failed[0]
+        assert "criterion 6" in failed[1] and "raised RuntimeError: broken check" in failed[1]
+        assert sum(line.startswith("PASS") for line in lines) == 4
+        assert lines[-1] == "4/6 checks passed"
+
     def test_import_and_verify_load_no_scipy(self):
         # numpy is the only runtime dependency; a fresh interpreter that
         # imports the package and runs every self-check must not load scipy.

@@ -1,7 +1,5 @@
 """Likelihood tests: probability-path equality, finite differences, curvature."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,41 +19,7 @@ from preselect import (
     prob_partial_ranking,
     prob_top_rank,
 )
-
-
-def random_observation(rng, d, n, subset_size, mode):
-    """Random observation with uniform features and a random feedback draw."""
-    context = ContextMatrix(rng.uniform(size=(d, n)))
-    subset = tuple(sorted(rng.choice(n, size=subset_size, replace=False)))
-    if mode == "winner":
-        feedback = WinnerFeedback(int(rng.choice(subset)))
-    else:
-        order = list(subset)
-        rng.shuffle(order)
-        feedback = RankingFeedback(Ranking.from_ordering(order))
-    return Observation(feedback=feedback, subset=subset, context=context)
-
-
-def fd_gradient(theta, obs, h=1e-5):
-    """Oracle: central finite differences of loglik."""
-    d = theta.size
-    grad = np.empty(d)
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        grad[j] = (loglik(theta + e, obs) - loglik(theta - e, obs)) / (2 * h)
-    return grad
-
-
-def fd_hessian(theta, obs, h=1e-5):
-    """Oracle: central finite differences of grad_loglik."""
-    d = theta.size
-    hess = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        hess[:, j] = (grad_loglik(theta + e, obs) - grad_loglik(theta - e, obs)) / (2 * h)
-    return hess
+from preselect.selfcheck import fd_gradient, fd_hessian, random_observation
 
 
 def reference_terms(theta, obs):

@@ -16,28 +16,18 @@ from preselect import (
     UtilityVector,
     WinnerFeedback,
     contextual_utilities,
+    instant_regret,
     prob_full_ranking,
     prob_partial_ranking,
     prob_top_rank,
     sample_partial_ranking,
     sample_winner,
 )
+from preselect.selfcheck import linear_extension_sum, pl_exactness_errors, ranking_deviation
 
 
 def all_rankings(items):
     return [Ranking.from_ordering(perm) for perm in itertools.permutations(items)]
-
-
-def linear_extension_sum(utils, subset, ranking):
-    """Oracle: sum full-ranking probabilities over all linear extensions."""
-    n = len(utils)
-    target = ranking.ordering
-    total = 0.0
-    for perm in itertools.permutations(range(n)):
-        restricted = tuple(a for a in perm if a in set(subset))
-        if restricted == target:
-            total += prob_full_ranking(utils, Ranking.from_ordering(perm))
-    return total
 
 
 class TestRanking:
@@ -49,9 +39,9 @@ class TestRanking:
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
-            Ranking(items=(0, 1), ranks=(1, 1))
+            Ranking(())
         with pytest.raises(ValueError):
-            Ranking(items=(0, 1), ranks=(1, 3))
+            Ranking((0, 1, 0))
         with pytest.raises(ValueError):
             Ranking.from_ordering((2, 2, 1))
 
@@ -130,10 +120,7 @@ class TestFullRanking:
         assert prob_full_ranking(v, Ranking.from_ordering([0])) == pytest.approx(1.0)
 
     def test_probabilities_sum_to_one(self, rng):
-        for n in range(2, 6):
-            v = UtilityVector.from_values(rng.uniform(0.1, 3.0, size=n))
-            total = sum(prob_full_ranking(v, r) for r in all_rankings(range(n)))
-            assert total == pytest.approx(1.0, abs=1e-12)
+        assert pl_exactness_errors(rng, max_n=5)["full"] <= 1e-12
 
     def test_mode_sorts_utilities_descending(self, rng):
         for n in range(2, 6):
@@ -248,17 +235,7 @@ class TestSampling:
             assert count / draws == pytest.approx(1 / 6, abs=0.01)
 
     def test_nonuniform_ranking_frequencies(self):
-        rng = np.random.default_rng(11)
-        v = UtilityVector.from_values([3.0, 1.0, 0.5])
-        subset = (0, 1, 2)
-        counts = {}
-        draws = 60000
-        for _ in range(draws):
-            r = sample_partial_ranking(v, subset, rng)
-            counts[r.ordering] = counts.get(r.ordering, 0) + 1
-        for r in all_rankings(subset):
-            expected = prob_partial_ranking(v, subset, r)
-            assert counts.get(r.ordering, 0) / draws == pytest.approx(expected, abs=0.01)
+        assert ranking_deviation(np.random.default_rng(11), 60000, [3.0, 1.0, 0.5]) <= 0.01
 
     def test_ranking_determinism(self):
         v = UtilityVector.from_values([1.0, 2.0, 0.5, 1.5])
@@ -307,6 +284,7 @@ def subset_entries():
         ),
         "Observation": lambda s: Observation(WinnerFeedback(0), s, context).subset,
         "MMState.record": lambda s: MMState.uniform(4).record(s, WinnerFeedback(0)),
+        "instant_regret": lambda s: instant_regret(utils, s),
     }
 
 

@@ -1,7 +1,5 @@
 """Policy tests: selection against brute-force oracles, MM fitting, the interface."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from preselect import (
     MaxThetaPolicy,
     MMPolicy,
     MMState,
-    Observation,
     Ranking,
     RankingFeedback,
     UtilityVector,
@@ -30,48 +27,11 @@ from preselect import (
 )
 from preselect import policies
 from preselect.policies import top_k_subset
-
-
-def brute_force_best_subset(scores, k):
-    """Oracle: exhaustive subset-sum argmax with lowest-index tie-break.
-
-    Enumeration order equals lexicographic order on sorted subsets, so
-    keeping the first strict improvement reproduces the tie-break.
-    """
-    best, best_sum = None, -np.inf
-    for subset in itertools.combinations(range(len(scores)), k):
-        total = scores[list(subset)].sum()
-        if total > best_sum:
-            best, best_sum = subset, total
-    return best
-
-
-def brute_force_best_subset_exact(hundredths, k):
-    """Exact-integer oracle for tie-heavy scores given in hundredths.
-
-    Equal decimal sums must compare equal (float summation noise would
-    misresolve ties the selection rule breaks by lowest index).
-    """
-    best, best_sum = None, None
-    for subset in itertools.combinations(range(len(hundredths)), k):
-        total = int(sum(int(hundredths[i]) for i in subset))
-        if best_sum is None or total > best_sum:
-            best, best_sum = subset, total
-    return best
+from preselect.selfcheck import exhaustive_top_k, random_state, top_k_errors
 
 
 def fitted_state(rng, d, t=5):
-    A = rng.normal(size=(d, d))
-    B = rng.normal(size=(d, d))
-    return EstimatorState(
-        theta_hat=rng.uniform(size=d),
-        theta_bar=rng.uniform(size=d),
-        t=t,
-        S_accum=-(A @ A.T + np.eye(d)),
-        V_accum=B @ B.T,
-        gamma1=2.0,
-        alpha=0.6,
-    )
+    return random_state(rng, d, t, t + 1)
 
 
 class TestTopK:
@@ -82,13 +42,8 @@ class TestTopK:
         assert top_k_subset(np.array([5.0, 1.0, 3.0]), 2) == (0, 2)
 
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            n = int(rng.integers(3, 11))
-            k = int(rng.integers(1, n))
-            hundredths = rng.integers(-300, 301, size=n)  # coarse grid forces ties
-            scores = hundredths / 100.0
-            assert top_k_subset(scores, k) == brute_force_best_subset_exact(hundredths, k)
+        # Criterion 6's check at another seed: tie-heavy grids, n <= 10.
+        assert top_k_errors(np.random.default_rng(42), max_n=10)["mismatches"] == 0
 
     def test_rejects_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -103,7 +58,7 @@ class TestCpplChoose:
             state = fitted_state(rng, 4)
             context = ContextMatrix(rng.uniform(size=(4, 8)))
             decision = cppl_choose(state, context, k=3, omega=1.0)
-            assert decision.subset == brute_force_best_subset(decision.scores, 3)
+            assert decision.subset == exhaustive_top_k(decision.scores, 3)
             assert len(decision.subset) == 3
 
     def test_omega_zero_equals_max_theta(self, rng):
@@ -358,7 +313,7 @@ class TestMMChoose:
     def test_matches_enumeration(self, rng):
         w = rng.dirichlet(np.ones(7))
         state = MMState(weights=w)
-        assert mm_choose(state, 3).subset == brute_force_best_subset(w, 3)
+        assert mm_choose(state, 3).subset == exhaustive_top_k(w, 3)
 
 
 class TestPolicyInterface:
