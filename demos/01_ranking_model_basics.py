@@ -67,7 +67,7 @@ print("one sampled ranking, best first:", one.ordering)
 # fixed -- each round supplies a feature column per arm and the utility
 # is exp(theta . x).
 theta = np.array([1.0, -0.5])
-X = ContextMatrix(rng.uniform(size=(2, 4)), t=1)
+X = ContextMatrix(rng.uniform(size=(2, 4)))
 v = contextual_utilities(theta, X)
 print("\nper-round contextual utilities:", np.round(v.values, 3))
 print("best arm this round:", int(np.argmax(v.values)))

@@ -20,7 +20,7 @@ from preselect import (
 
 rng = np.random.default_rng(1)
 d, n = 3, 6
-context = ContextMatrix(rng.uniform(size=(d, n)), t=1)
+context = ContextMatrix(rng.uniform(size=(d, n)))
 subset = (0, 2, 3, 5)
 
 obs_winner = Observation(feedback=WinnerFeedback(3), subset=subset, context=context)

@@ -30,7 +30,7 @@ print("random start:    ", np.round(state.theta_hat, 3))
 checkpoints = {100, 500, 2000, 5000}
 print(f"\n{'round':>6}  {'|theta_bar - theta*|':>22}  {'trace(cov)':>12}")
 for t in range(1, 5001):
-    context = ContextMatrix(rng.uniform(size=(d, n)), t=t)
+    context = ContextMatrix(rng.uniform(size=(d, n)))
     subset = tuple(sorted(rng.choice(n, size=k, replace=False)))
     winner = sample_winner(contextual_utilities(theta_star, context), subset, rng)
     obs = Observation(feedback=WinnerFeedback(winner), subset=subset, context=context)
@@ -44,7 +44,7 @@ print("\nfinal estimate:  ", np.round(state.theta_bar, 3))
 # Confidence widths: an upper confidence bound per arm for a fresh
 # context.  By now the widths are small relative to the utilities, so
 # the bound mostly follows the estimate.
-context = ContextMatrix(rng.uniform(size=(d, n)), t=5001)
+context = ContextMatrix(rng.uniform(size=(d, n)))
 cw = confidence_widths(state, context, omega=1.0)
 truth = contextual_utilities(theta_star, context).values
 print(f"\n{'arm':>4} {'true util':>10} {'estimate':>10} {'width':>8} {'upper bound':>12}")

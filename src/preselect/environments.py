@@ -99,19 +99,15 @@ def _round_rng(seed: int, t: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3, t)))
 
 
-def synthetic_round(
-    scenario: SyntheticScenario, t: int, rng: np.random.Generator | None = None
-) -> ContextMatrix:
+def synthetic_round(scenario: SyntheticScenario, t: int) -> ContextMatrix:
     """Fresh d x n context with i.i.d. uniform [0, 1] entries for round ``t``.
 
-    Without an explicit ``rng`` the draw is derived from
-    ``(scenario.seed, t)``, so the same round always yields the same
-    matrix.
+    The draw comes from a stream derived from ``(scenario.seed, t)``
+    alone, so the same round always yields the same matrix.
     """
     if t < 1 or (scenario.T > 0 and t > scenario.T):
         raise ValueError(f"round index {t} outside 1..{scenario.T}")
-    gen = rng if rng is not None else _round_rng(scenario.seed, t)
-    return ContextMatrix(gen.uniform(size=(scenario.d, scenario.n)), t=t)
+    return ContextMatrix(_round_rng(scenario.seed, t).uniform(size=(scenario.d, scenario.n)))
 
 
 def true_utilities(theta_star: np.ndarray, context: ContextMatrix) -> UtilityVector:
@@ -134,27 +130,21 @@ def instant_regret(true_utils: UtilityVector, subset) -> float:
 
 @dataclass(frozen=True)
 class RegretTrace:
-    """Per-round instantaneous and cumulative regret of one repetition."""
+    """Per-round instantaneous regret of one repetition; ``cumulative`` is its running sum."""
 
     instantaneous: np.ndarray
-    cumulative: np.ndarray
 
     def __post_init__(self):
         inst = np.asarray(self.instantaneous, dtype=float)
-        cum = np.asarray(self.cumulative, dtype=float)
-        if inst.shape != cum.shape or inst.ndim != 1:
-            raise ValueError("instantaneous and cumulative must be equal-length vectors")
+        if inst.ndim != 1:
+            raise ValueError("instantaneous regret must be a vector")
         if inst.size and (np.min(inst) < 0 or np.max(inst) > 1):
             raise ValueError("instantaneous regret must lie in [0, 1]")
-        if not np.allclose(cum, np.cumsum(inst), atol=1e-9):
-            raise ValueError("cumulative must be the running sum of instantaneous")
         object.__setattr__(self, "instantaneous", inst)
-        object.__setattr__(self, "cumulative", cum)
 
-    @classmethod
-    def from_instantaneous(cls, instantaneous) -> "RegretTrace":
-        inst = np.asarray(instantaneous, dtype=float)
-        return cls(instantaneous=inst, cumulative=np.cumsum(inst))
+    @property
+    def cumulative(self) -> np.ndarray:
+        return np.cumsum(self.instantaneous)
 
     @property
     def T(self) -> int:
@@ -274,7 +264,7 @@ def algoselect_round(
     row = int(order[t - 1])
     inst = table.instance_features[row]
     features = inst[:, None, None] * table.solver_features.T
-    context = ContextMatrix(features.reshape(-1, table.num_solvers), t=t)
+    context = ContextMatrix(features.reshape(-1, table.num_solvers))
     utils = UtilityVector.from_log(-lam * table.runtimes[row])
     return context, utils
 
@@ -308,10 +298,6 @@ class SyntheticEnvironment:
     @property
     def d(self) -> int:
         return self.scenario.d
-
-    @property
-    def max_rounds(self) -> int | None:
-        return None  # unbounded
 
     def round(self, t: int) -> tuple[ContextMatrix, UtilityVector]:
         context = synthetic_round(self.scenario, t)

@@ -87,12 +87,12 @@ class EstimatorState:
             raise ValueError("accumulators must be d x d matrices")
         if self.t < 0:
             raise ValueError("update counter must be nonnegative")
-        if not self.gamma1 > 0:
-            raise ValueError("gamma1 must be positive")
+        if not (math.isfinite(self.gamma1) and self.gamma1 > 0):
+            raise ValueError(f"gamma1 must be finite and positive, got {self.gamma1!r}")
         if not 0.5 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (1/2, 1)")
-        if not self.ridge > 0:
-            raise ValueError("ridge must be positive")
+        if not (math.isfinite(self.ridge) and self.ridge > 0):
+            raise ValueError(f"ridge must be finite and positive, got {self.ridge!r}")
         object.__setattr__(self, "theta_hat", theta_hat)
         object.__setattr__(self, "theta_bar", theta_bar)
         object.__setattr__(self, "S_accum", S)
@@ -111,17 +111,15 @@ class EstimatorState:
         gamma1: float = 2.0,
         alpha: float = 0.6,
         ridge: float = 1e-6,
-        theta0: np.ndarray | None = None,
     ) -> "EstimatorState":
-        """Fresh state with ``theta_hat`` drawn uniformly from [0, 1]^d.
+        """Fresh state with ``theta_hat = theta_bar`` drawn uniformly from [0, 1]^d.
 
-        ``theta0`` overrides the random initialization (useful in tests).
+        A test that needs a chosen starting point builds the state with
+        the constructor instead.
         """
-        theta = np.asarray(theta0, dtype=float) if theta0 is not None else rng.uniform(size=d)
-        if theta.size != d:
-            raise ValueError("theta0 dimension mismatch")
+        theta = rng.uniform(size=d)
         return cls(
-            theta_hat=theta.copy(),
+            theta_hat=theta,
             theta_bar=theta.copy(),
             t=0,
             S_accum=np.zeros((d, d)),

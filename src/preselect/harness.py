@@ -232,7 +232,7 @@ def run_repetition(
             regrets[t - 1] = instant_regret(utils, decision.subset)
     except Exception as exc:
         raise RuntimeError(f"round {t}: {exc}") from exc
-    return RegretTrace.from_instantaneous(regrets)
+    return RegretTrace(regrets)
 
 
 def run_experiment(config: ExperimentConfig) -> AggregatedResult:

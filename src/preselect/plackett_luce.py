@@ -74,11 +74,10 @@ class ContextMatrix:
     """Per-round block of joint context/arm feature vectors.
 
     ``features`` has shape ``(d, n)``; column i is the joint feature
-    vector of arm i for this round.  ``t`` is the 1-based round index.
+    vector of arm i for this round.
     """
 
     features: np.ndarray
-    t: int = 1
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
@@ -86,8 +85,6 @@ class ContextMatrix:
             raise ValueError("features must be a d x n matrix with d, n >= 1")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
-        if self.t < 1:
-            raise ValueError("round index must be positive")
         object.__setattr__(self, "features", feats)
 
     @property

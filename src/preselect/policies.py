@@ -53,7 +53,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    """A chosen k-subset plus the per-arm scores that produced it.
+    """The k-subset a policy chose for one round.
 
     Unchecked: ``top_k_subset`` and ``rng.choice(replace=False)`` give
     distinct, in-range ints; any other policy's subset is checked where
@@ -61,7 +61,6 @@ class PolicyDecision:
     """
 
     subset: tuple[int, ...]
-    scores: np.ndarray
 
 
 def top_k_subset(scores: np.ndarray, k: int) -> tuple[int, ...]:
@@ -90,7 +89,7 @@ def cppl_choose(
     else:
         cw = confidence_widths(state, context, omega)
         scores = cw.utilities + cw.widths
-    return PolicyDecision(subset=top_k_subset(scores, k), scores=scores)
+    return PolicyDecision(top_k_subset(scores, k))
 
 
 def max_theta_choose(
@@ -113,7 +112,7 @@ def epsilon_greedy_choose(
     greedy = max_theta_choose(state, context, k)
     if epsilon > 0.0 and rng.random() < epsilon:
         subset = tuple(sorted(int(i) for i in rng.choice(context.n, size=k, replace=False)))
-        return PolicyDecision(subset=subset, scores=greedy.scores)
+        return PolicyDecision(subset)
     return greedy
 
 
@@ -134,16 +133,15 @@ class MMState:
     MM update needs only ``wins`` (stages won by each arm) and
     ``set_counts`` (stages per distinct remaining-set, keyed by its sorted
     tuple).  ``observations`` counts recorded rounds.  ``weights`` are
-    normalized to sum 1; ``unseen`` flags arms that never appeared in any
-    stage, whose weights are held at the uniform prior 1/n (up to
-    renormalization).
+    normalized to sum 1.  The arms in no stage are those in no key of
+    ``set_counts``; ``mm_fit`` holds their weights at the uniform prior
+    1/n (up to renormalization).
     """
 
     weights: np.ndarray
     wins: np.ndarray | None = None
     set_counts: dict[tuple[int, ...], int] = field(default_factory=dict)
     observations: int = 0
-    unseen: frozenset[int] = frozenset()
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -222,14 +220,12 @@ def mm_fit(state: MMState, max_iters: int = 100, tol: float = 1e-8) -> MMState:
         w = w_new
         if delta < tol:
             break
-    return replace(state, weights=w, unseen=frozenset(np.flatnonzero(~seen).tolist()))
+    return replace(state, weights=w)
 
 
 def mm_choose(state: MMState, k: int) -> PolicyDecision:
     """Greedy top-k arms by fitted weight."""
-    return PolicyDecision(
-        subset=top_k_subset(state.weights, k), scores=state.weights.copy()
-    )
+    return PolicyDecision(top_k_subset(state.weights, k))
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +328,16 @@ class MMPolicy(Policy):
 
     The state holds only stage statistics, so a refit costs one pass per
     sweep over the distinct remaining-sets, however many rounds came
-    before; it warm-starts from the previous weights.
+    before; it warm-starts from the previous weights and runs with
+    ``mm_fit``'s default sweep cap and tolerance.
     """
 
-    def __init__(self, n: int, max_iters: int = 100, tol: float = 1e-8):
+    def __init__(self, n: int):
         super().__init__()
         self.state = MMState.uniform(n)
-        self.max_iters = max_iters
-        self.tol = tol
 
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
         return mm_choose(self.state, k)
 
     def _update(self, obs: Observation) -> None:
-        self.state = mm_fit(
-            self.state.record(obs.subset, obs.feedback), self.max_iters, self.tol
-        )
+        self.state = mm_fit(self.state.record(obs.subset, obs.feedback))

@@ -66,7 +66,11 @@ class TestSyntheticRound:
         scenario = make_scenario(rng, n=10, d=5, k=3, T=20)
         X = synthetic_round(scenario, 4)
         assert X.features.shape == (5, 10)
-        assert X.t == 4
+        # Round t's entries come from the stream of (seed, t) alone.
+        stream = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(3, 4))
+        np.testing.assert_array_equal(
+            X.features, np.random.default_rng(stream).uniform(size=(5, 10))
+        )
 
     def test_entries_uniform(self, rng):
         scenario = make_scenario(rng, n=100, d=10, T=100)
@@ -124,18 +128,14 @@ class TestInstantRegret:
 class TestRegretTrace:
     def test_cumulative_is_running_sum(self, rng):
         inst = rng.uniform(size=30)
-        trace = RegretTrace.from_instantaneous(inst)
+        trace = RegretTrace(inst)
         np.testing.assert_allclose(trace.cumulative, np.cumsum(inst))
         assert np.all(np.diff(trace.cumulative) >= 0)
         assert trace.cumulative[-1] <= trace.T
 
-    def test_rejects_inconsistent_cumulative(self):
-        with pytest.raises(ValueError):
-            RegretTrace(instantaneous=np.array([0.5, 0.5]), cumulative=np.array([0.5, 0.7]))
-
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            RegretTrace.from_instantaneous(np.array([0.5, 1.5]))
+            RegretTrace(np.array([0.5, 1.5]))
 
 
 class TestPreprocessing:

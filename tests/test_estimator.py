@@ -68,6 +68,13 @@ class TestState:
         with pytest.raises(ValueError):
             EstimatorState.init(3, rng, alpha=1.0)
 
+    @pytest.mark.parametrize("build", [EstimatorState.init, CPPLPolicy], ids=["state", "policy"])
+    @pytest.mark.parametrize("name", ["gamma1", "ridge"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_gamma1_and_ridge(self, rng, build, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            build(3, rng, **{name: value})
+
 
 class TestSgdUpdate:
     def test_singleton_observation_leaves_iterate(self, rng):

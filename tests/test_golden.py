@@ -1,0 +1,37 @@
+"""Golden outputs: the sha256 of the regret CSV for four small pinned configs.
+
+Each config is the synthetic world at n=20, d=5, k=5, T=300, 2
+repetitions, seed 0.  A change that should leave every output
+byte-identical (a refactor, a deletion, a speedup) must keep these
+hashes; criterion 9 only checks that a rerun of the same code matches
+itself.
+
+The hashes hold for Python 3.11 with numpy 2.4 on OpenBLAS 0.3.31
+(scipy-openblas, x86_64 Haswell kernels).  Another numpy or BLAS may
+round differently and fail these tests without any fault in the code.
+A change that is allowed to move numbers (ROADMAP item 5, the MM refit)
+re-pins them and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from preselect import ExperimentConfig, emit_results, run_experiment
+
+GOLDEN = {
+    ("cppl", "winner"): "b82397c428349debb569c33a62145e29b6523ff882128f31d5e6d5380f178c46",
+    ("egreedy", "winner"): "92593b65363ada3a7cd7cf26ce2d9790d6ac4a87930b4b92cef3c7504a4ce895",
+    ("mm", "winner"): "769e2cec24bb4fce64667c2bd30039f7cdc30c6a1bd111810f129332d5d773b6",
+    ("cppl", "ranking"): "22ed1f8cdbd3be1e5a3e955f4e83dabab84b760df13451329247bd6d61a74bc5",
+}
+
+
+@pytest.mark.parametrize("policy,feedback", GOLDEN, ids=[f"{p}-{f}" for p, f in GOLDEN])
+def test_regret_csv_matches_golden_hash(tmp_path, policy, feedback):
+    config = ExperimentConfig(
+        policy=policy, feedback=feedback, n=20, d=5, k=5, T=300, reps=2, seed=0
+    )
+    path = tmp_path / "regret.csv"
+    emit_results(run_experiment(config), path, "csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[policy, feedback]

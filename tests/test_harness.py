@@ -38,7 +38,7 @@ class OraclePolicy(Policy):
         utils = true_utilities(self.theta_star, context).values
         best = int(np.argmax(utils))
         rest = [i for i in range(context.n) if i != best][: k - 1]
-        return PolicyDecision(subset=tuple(sorted([best] + rest)), scores=utils)
+        return PolicyDecision(tuple(sorted([best] + rest)))
 
     def _update(self, obs):
         pass
@@ -56,7 +56,7 @@ class FailingPolicy(Policy):
         self.rounds += 1
         if self.rounds == self.at_round:
             raise ValueError("boom")
-        return PolicyDecision(subset=tuple(range(k)), scores=np.zeros(context.n))
+        return PolicyDecision(tuple(range(k)))
 
     def _update(self, obs):
         pass
@@ -70,7 +70,7 @@ class FixedSubsetPolicy(Policy):
         self.subset = subset
 
     def _choose(self, context, k):
-        return PolicyDecision(subset=self.subset, scores=np.zeros(context.n))
+        return PolicyDecision(self.subset)
 
     def _update(self, obs):
         pass

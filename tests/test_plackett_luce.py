@@ -23,7 +23,9 @@ from preselect import (
     sample_partial_ranking,
     sample_winner,
 )
-from preselect.selfcheck import linear_extension_sum, pl_exactness_errors, ranking_deviation
+from preselect.selfcheck import (
+    linear_extension_sum, pl_exactness_errors, ranking_deviation, winner_deviation,
+)
 
 
 def all_rankings(items):
@@ -55,8 +57,8 @@ class TestRanking:
 
 class TestContextMatrix:
     def test_shape_and_columns(self, rng):
-        X = ContextMatrix(rng.uniform(size=(3, 5)), t=2)
-        assert (X.d, X.n, X.t) == (3, 5, 2)
+        X = ContextMatrix(rng.uniform(size=(3, 5)))
+        assert (X.d, X.n) == (3, 5)
         assert X.column(4).shape == (3,)
 
     def test_rejects_nonfinite(self):
@@ -64,10 +66,6 @@ class TestContextMatrix:
         bad[0, 0] = np.inf
         with pytest.raises(ValueError):
             ContextMatrix(bad)
-
-    def test_rejects_bad_round(self):
-        with pytest.raises(ValueError):
-            ContextMatrix(np.ones((2, 2)), t=0)
 
 
 class TestContextualUtilities:
@@ -260,6 +258,11 @@ class TestSampling:
             counts[sample_winner(v, subset, rng)] += 1
         for i in subset:
             assert counts[i] / draws == pytest.approx(0.25, abs=0.006)
+
+    def test_nonuniform_winner_frequencies(self):
+        # About 5 standard errors at 100,000 draws; a sampler that ignores
+        # or inverts the utilities misses by more than 0.4.
+        assert winner_deviation(np.random.default_rng(3), 100000, (0.5, 1.0, 2.0, 4.0)) <= 0.008
 
     def test_winner_determinism(self):
         v = UtilityVector.from_values([1.0, 2.0, 3.0])

@@ -16,6 +16,7 @@ from preselect import (
     RankingFeedback,
     UtilityVector,
     WinnerFeedback,
+    confidence_widths,
     cppl_choose,
     epsilon_greedy_choose,
     max_theta_choose,
@@ -57,8 +58,9 @@ class TestCpplChoose:
         for _ in range(20):
             state = fitted_state(rng, 4)
             context = ContextMatrix(rng.uniform(size=(4, 8)))
+            cw = confidence_widths(state, context, omega=1.0)
             decision = cppl_choose(state, context, k=3, omega=1.0)
-            assert decision.subset == exhaustive_top_k(decision.scores, 3)
+            assert decision.subset == exhaustive_top_k(cw.utilities + cw.widths, 3)
             assert len(decision.subset) == 3
 
     def test_omega_zero_equals_max_theta(self, rng):
@@ -66,8 +68,10 @@ class TestCpplChoose:
             state = fitted_state(rng, 3)
             context = ContextMatrix(rng.uniform(size=(3, 7)))
             k = int(rng.integers(1, 7))
-            assert cppl_choose(state, context, k, 0.0).subset == \
-                max_theta_choose(state, context, k).subset
+            # Oracle: the exhaustive subset argmax of the utilities alone.
+            greedy = exhaustive_top_k(np.exp(state.theta_bar @ context.features), k)
+            assert cppl_choose(state, context, k, 0.0).subset == greedy
+            assert max_theta_choose(state, context, k).subset == greedy
 
     def test_before_first_update_uses_utilities_only(self, rng):
         state = EstimatorState.init(3, rng)
@@ -82,7 +86,9 @@ class TestCpplChoose:
         d1 = cppl_choose(state, context, 2, 1.0)
         d2 = cppl_choose(state, context, 2, 1.0)
         assert d1.subset == d2.subset
-        np.testing.assert_array_equal(d1.scores, d2.scores)
+        cw1 = confidence_widths(state, context, 1.0)
+        cw2 = confidence_widths(state, context, 1.0)
+        np.testing.assert_array_equal(cw1.utilities + cw1.widths, cw2.utilities + cw2.widths)
 
     def test_rejects_k_not_below_n(self, rng):
         state = fitted_state(rng, 3)
@@ -93,9 +99,9 @@ class TestCpplChoose:
     def test_scale_invariance_of_argmax(self, rng):
         state = fitted_state(rng, 3)
         context = ContextMatrix(rng.uniform(size=(3, 6)))
-        base = cppl_choose(state, context, 3, 1.0)
-        rescaled = top_k_subset(base.scores * 17.5, 3)
-        assert rescaled == base.subset
+        cw = confidence_widths(state, context, 1.0)
+        rescaled = top_k_subset((cw.utilities + cw.widths) * 17.5, 3)
+        assert rescaled == cppl_choose(state, context, 3, 1.0).subset
 
 
 class TestEpsilonGreedy:
@@ -163,7 +169,7 @@ class TestMMFit:
         state = MMState.uniform(3).record((0, 1), WinnerFeedback(0))
         state = state.record((0, 1), WinnerFeedback(1))
         fitted = mm_fit(state)
-        assert fitted.unseen == frozenset({2})
+        assert all(2 not in remaining for remaining in fitted.set_counts)
         # Held at the 1/n prior before the final renormalization.
         assert fitted.weights[2] == pytest.approx(1 / 3, rel=0.1)
 
@@ -213,7 +219,6 @@ class TestMMFit:
         state = MMState.uniform(4).record((2,), RankingFeedback(Ranking.from_ordering([2])))
         fitted = mm_fit(state)
         np.testing.assert_allclose(fitted.weights, 0.25)
-        assert fitted.unseen == frozenset(range(4))
 
     def test_sweeps_match_stage_by_stage_reference(self, rng):
         # Arm 4 never appears (held at the prior), arm 3 never wins (floor).
@@ -235,7 +240,6 @@ class TestMMFit:
             w /= w.sum()
         fitted = mm_fit(state, max_iters=3, tol=0.0)
         np.testing.assert_allclose(fitted.weights, w, rtol=1e-12)
-        assert fitted.unseen == frozenset({4})
 
     def test_fixed_point_is_stationary(self):
         # Hunter's MM fixed point: wins_i = w_i * sum over stages containing
