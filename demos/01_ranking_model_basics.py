@@ -35,7 +35,7 @@ print("utilities:", utils.values)
 print("\nfull-ranking probabilities (all 24):")
 total = 0.0
 for perm in itertools.permutations(range(4)):
-    p = prob_full_ranking(utils, Ranking.from_ordering(perm))
+    p = prob_full_ranking(utils, Ranking(perm))
     total += p
     if perm in [(0, 1, 2, 3), (3, 2, 1, 0)]:
         print(f"  {perm}: {p:.4f}   <-- {'mode' if perm[0] == 0 else 'least likely'}")
@@ -44,7 +44,7 @@ print(f"  sum over all rankings: {total:.12f} (should be 1)")
 # Marginals: the probability of a partial ranking over a subset has the
 # same product form and needs no enumeration of full rankings.
 subset = (0, 2, 3)
-partial = Ranking.from_ordering((2, 0, 3))
+partial = Ranking((2, 0, 3))
 print(f"\nP(ranking 2>0>3 within {subset}) = "
       f"{prob_partial_ranking(utils, subset, partial):.4f}")
 print(f"P(arm 2 wins within {subset})    = {prob_top_rank(utils, subset, 2):.4f}")

@@ -25,7 +25,7 @@ subset = (0, 2, 3, 5)
 
 obs_winner = Observation(feedback=WinnerFeedback(3), subset=subset, context=context)
 obs_ranking = Observation(
-    feedback=RankingFeedback(Ranking.from_ordering((3, 5, 0, 2))),
+    feedback=RankingFeedback(Ranking((3, 5, 0, 2))),
     subset=subset,
     context=context,
 )

@@ -43,20 +43,15 @@ from .estimator import (
 from .policies import (
     CPPLPolicy,
     EpsilonGreedyPolicy,
-    MaxThetaPolicy,
     MMPolicy,
     MMState,
     Policy,
     PolicyDecision,
     cppl_choose,
-    epsilon_greedy_choose,
-    max_theta_choose,
-    mm_choose,
     mm_fit,
 )
 from .environments import (
     AlgoSelectEnvironment,
-    RegretTrace,
     RuntimeTable,
     SyntheticEnvironment,
     SyntheticScenario,
@@ -67,8 +62,6 @@ from .environments import (
     load_solver_features,
     preprocess_features,
     sample_feedback,
-    synthetic_round,
-    true_utilities,
 )
 from .harness import (
     AggregatedResult,

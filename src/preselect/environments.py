@@ -42,9 +42,6 @@ from .plackett_luce import (
 __all__ = [
     "SyntheticScenario",
     "RuntimeTable",
-    "RegretTrace",
-    "synthetic_round",
-    "true_utilities",
     "instant_regret",
     "preprocess_features",
     "algoselect_round",
@@ -93,28 +90,6 @@ class SyntheticScenario:
         return cls(n=n, d=d, k=k, T=T, theta_star=rng.uniform(size=d), seed=seed)
 
 
-def _round_rng(seed: int, t: int) -> np.random.Generator:
-    # Per-(seed, t) child stream: reproducible bit-for-bit regardless of
-    # how many draws other rounds or the policy consumed.
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3, t)))
-
-
-def synthetic_round(scenario: SyntheticScenario, t: int) -> ContextMatrix:
-    """Fresh d x n context with i.i.d. uniform [0, 1] entries for round ``t``.
-
-    The draw comes from a stream derived from ``(scenario.seed, t)``
-    alone, so the same round always yields the same matrix.
-    """
-    if t < 1 or (scenario.T > 0 and t > scenario.T):
-        raise ValueError(f"round index {t} outside 1..{scenario.T}")
-    return ContextMatrix(_round_rng(scenario.seed, t).uniform(size=(scenario.d, scenario.n)))
-
-
-def true_utilities(theta_star: np.ndarray, context: ContextMatrix) -> UtilityVector:
-    """Ground-truth utilities of every arm under the hidden parameter."""
-    return contextual_utilities(theta_star, context)
-
-
 def instant_regret(true_utils: UtilityVector, subset) -> float:
     """Relative utility gap between the best arm and the best arm in ``subset``.
 
@@ -126,29 +101,6 @@ def instant_regret(true_utils: UtilityVector, subset) -> float:
     best = float(np.max(logs))
     best_in_subset = float(np.max(logs[list(members)]))
     return 1.0 - float(np.exp(best_in_subset - best))
-
-
-@dataclass(frozen=True)
-class RegretTrace:
-    """Per-round instantaneous regret of one repetition; ``cumulative`` is its running sum."""
-
-    instantaneous: np.ndarray
-
-    def __post_init__(self):
-        inst = np.asarray(self.instantaneous, dtype=float)
-        if inst.ndim != 1:
-            raise ValueError("instantaneous regret must be a vector")
-        if inst.size and (np.min(inst) < 0 or np.max(inst) > 1):
-            raise ValueError("instantaneous regret must lie in [0, 1]")
-        object.__setattr__(self, "instantaneous", inst)
-
-    @property
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.instantaneous)
-
-    @property
-    def T(self) -> int:
-        return self.instantaneous.size
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +217,7 @@ def algoselect_round(
     inst = table.instance_features[row]
     features = inst[:, None, None] * table.solver_features.T
     context = ContextMatrix(features.reshape(-1, table.num_solvers))
-    utils = UtilityVector.from_log(-lam * table.runtimes[row])
+    utils = UtilityVector(-lam * table.runtimes[row])
     return context, utils
 
 
@@ -300,21 +252,37 @@ class SyntheticEnvironment:
         return self.scenario.d
 
     def round(self, t: int) -> tuple[ContextMatrix, UtilityVector]:
-        context = synthetic_round(self.scenario, t)
-        return context, true_utilities(self.scenario.theta_star, context)
+        """Fresh d x n context with i.i.d. uniform [0, 1] entries, and its true utilities.
+
+        The draw comes from a child stream of ``(scenario.seed, t)`` alone,
+        so the same round always yields the same matrix, however many
+        draws other rounds or the policy consumed.
+        """
+        sc = self.scenario
+        if t < 1 or (sc.T > 0 and t > sc.T):
+            raise ValueError(f"round index {t} outside 1..{sc.T}")
+        stream = np.random.SeedSequence(entropy=sc.seed, spawn_key=(3, t))
+        context = ContextMatrix(np.random.default_rng(stream).uniform(size=(sc.d, sc.n)))
+        return context, contextual_utilities(sc.theta_star, context)
 
 
 class AlgoSelectEnvironment:
     """Algorithm-selection world over a runtime table.
 
     Instance features are preprocessed once up front; the instance order
-    is a fresh shuffle (without replacement) from ``rng``.
+    is a fresh shuffle (without replacement) from ``rng``.  A table that
+    preprocessing cannot use (one row, or no column left) is a
+    ``ValueError``.
     """
 
     def __init__(self, table: RuntimeTable, lam: float, rng: np.random.Generator):
         if not lam >= 0:  # also rejects NaN
             raise ValueError(f"lam must be nonnegative, got {lam!r}")
         reduced, kept = preprocess_features(table.instance_features)
+        if not kept:
+            raise ValueError(
+                f"no instance-feature column has variance >= {VARIANCE_THRESHOLD} after scaling"
+            )
         self.table = replace(table, instance_features=reduced)
         self.kept_columns = kept
         self.lam = lam

@@ -36,14 +36,13 @@ import numpy as np
 
 from .environments import (
     AlgoSelectEnvironment,
-    RegretTrace,
     SyntheticEnvironment,
     SyntheticScenario,
     instant_regret,
     load_runtime_table,
     sample_feedback,
 )
-from .policies import CPPLPolicy, EpsilonGreedyPolicy, MaxThetaPolicy, MMPolicy, Policy
+from .policies import CPPLPolicy, EpsilonGreedyPolicy, MMPolicy, Policy
 
 __all__ = [
     "ConfigError",
@@ -124,6 +123,12 @@ class ExperimentConfig:
             raise ConfigError("lambda must be nonnegative")
         if not self.ridge > 0:
             raise ConfigError("ridge must be positive")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
+        for name in ("runtimes", "instance_features", "solver_features"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a path string or null, got {value!r}")
         if self.environment == "synthetic":
             if self.d < 1:
                 raise ConfigError("d must be >= 1")
@@ -177,7 +182,10 @@ def _build_environment(config: ExperimentConfig, rep_seed, setup_rng, table):
             config.n, config.d, config.k, config.T, seed=rep_seed, rng=setup_rng
         )
         return SyntheticEnvironment(scenario)
-    env = AlgoSelectEnvironment(table, lam=config.lam, rng=setup_rng)
+    try:
+        env = AlgoSelectEnvironment(table, lam=config.lam, rng=setup_rng)
+    except ValueError as exc:
+        raise ConfigError(f"{config.instance_features}: {exc}") from exc
     if config.T > env.max_rounds:
         raise ConfigError(
             f"T={config.T} exceeds the {env.max_rounds} available instances"
@@ -192,7 +200,7 @@ def _build_policy(config: ExperimentConfig, env, policy_rng) -> Policy:
     if config.policy == "cppl":
         return CPPLPolicy(env.d, policy_rng, omega=config.omega, **common)
     if config.policy == "maxtheta":
-        return MaxThetaPolicy(env.d, policy_rng, **common)
+        return CPPLPolicy(env.d, policy_rng, omega=0.0, **common)
     if config.policy == "egreedy":
         return EpsilonGreedyPolicy(env.d, policy_rng, epsilon=config.epsilon, **common)
     return MMPolicy(env.n)
@@ -203,8 +211,8 @@ def run_repetition(
     rep_index: int,
     table=None,
     policy: Policy | None = None,
-) -> RegretTrace:
-    """Play one full repetition and return its regret trace.
+) -> np.ndarray:
+    """Play one full repetition and return its ``(T,)`` instantaneous regrets.
 
     ``table`` may carry a preloaded runtime table to avoid re-reading
     files; ``policy`` overrides the configured policy (used for oracle
@@ -232,7 +240,7 @@ def run_repetition(
             regrets[t - 1] = instant_regret(utils, decision.subset)
     except Exception as exc:
         raise RuntimeError(f"round {t}: {exc}") from exc
-    return RegretTrace(regrets)
+    return regrets
 
 
 def run_experiment(config: ExperimentConfig) -> AggregatedResult:
@@ -246,7 +254,7 @@ def run_experiment(config: ExperimentConfig) -> AggregatedResult:
     cumulative = np.empty((config.reps, config.T))
     for rep in range(config.reps):
         try:
-            cumulative[rep] = run_repetition(config, rep, table=table).cumulative
+            cumulative[rep] = np.cumsum(run_repetition(config, rep, table=table))
         except ConfigError:
             raise
         except Exception as exc:

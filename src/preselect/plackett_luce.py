@@ -37,8 +37,7 @@ __all__ = [
 class Ranking:
     """Distinct alternatives listed best-first: ``ordering[0]`` is ranked first.
 
-    ``items`` (the ranked set, sorted) and ``rank_of`` are derived from
-    the ordering; ``rank_of`` is a scan, O(m) in the size of the set.
+    ``items`` (the ranked set, sorted) is derived from the ordering.
     """
 
     ordering: tuple[int, ...]
@@ -51,19 +50,10 @@ class Ranking:
             raise ValueError("ranking must not repeat an alternative")
         object.__setattr__(self, "ordering", ordering)
 
-    @classmethod
-    def from_ordering(cls, ordering: Sequence[int]) -> "Ranking":
-        """Build a ranking from alternatives listed best-first."""
-        return cls(ordering)
-
     @property
     def items(self) -> tuple[int, ...]:
         """The ranked alternatives in sorted order."""
         return tuple(sorted(self.ordering))
-
-    def rank_of(self, item: int) -> int:
-        """1-based position of ``item``."""
-        return self.ordering.index(item) + 1
 
     def __len__(self) -> int:
         return len(self.ordering)
@@ -95,9 +85,6 @@ class ContextMatrix:
     def n(self) -> int:
         return self.features.shape[1]
 
-    def column(self, i: int) -> np.ndarray:
-        return self.features[:, i]
-
 
 @dataclass(frozen=True)
 class UtilityVector:
@@ -128,10 +115,6 @@ class UtilityVector:
             raise ValueError("utilities must be strictly positive and finite")
         return cls(np.log(vals))
 
-    @classmethod
-    def from_log(cls, log_values: Sequence[float] | np.ndarray) -> "UtilityVector":
-        return cls(np.asarray(log_values, dtype=float))
-
     @property
     def values(self) -> np.ndarray:
         return np.exp(self.log_values)
@@ -147,7 +130,7 @@ def contextual_utilities(theta: np.ndarray, context: ContextMatrix) -> UtilityVe
         raise ValueError(
             f"theta has dimension {theta.size}, context expects {context.d}"
         )
-    return UtilityVector.from_log(theta @ context.features)
+    return UtilityVector(theta @ context.features)
 
 
 def _check_subset(subset: Sequence[int], n: int) -> tuple[int, ...]:
@@ -234,7 +217,7 @@ def sample_partial_ranking(
         logs = utilities.log_values[remaining]
         idx = _categorical(_softmax(logs), rng)
         ordering.append(remaining.pop(idx))
-    return Ranking.from_ordering(ordering)
+    return Ranking(ordering)
 
 
 def sample_winner(

@@ -13,9 +13,10 @@ break toward the lowest arm index so traces are reproducible.
 Policies:
 
 * ``CPPLPolicy`` scores arms by estimated utility plus confidence width.
-* ``MaxThetaPolicy`` scores by estimated utility alone.
-* ``EpsilonGreedyPolicy`` follows MaxTheta, but with probability epsilon
-  picks a uniformly random k-subset.
+  Max-Theta is ``CPPLPolicy`` with ``omega=0`` (``--policy maxtheta``):
+  it scores by estimated utility alone.
+* ``EpsilonGreedyPolicy`` plays Max-Theta's choice, but with probability
+  epsilon picks a uniformly random k-subset.
 * ``MMPolicy`` is context-free: it keeps per-arm stage wins and the
   multiplicity of each remaining-set seen, refits plain PL weights to
   them with a minorization-maximization iteration, and greedily plays
@@ -39,15 +40,11 @@ __all__ = [
     "PolicyDecision",
     "Policy",
     "CPPLPolicy",
-    "MaxThetaPolicy",
     "EpsilonGreedyPolicy",
     "MMPolicy",
     "MMState",
     "cppl_choose",
-    "max_theta_choose",
-    "epsilon_greedy_choose",
     "mm_fit",
-    "mm_choose",
 ]
 
 
@@ -80,40 +77,17 @@ def cppl_choose(
 
     Before the first estimator update the covariance is undefined, so the
     widths are zero and the choice falls back to the utility estimates
-    from the initial parameter.  ``omega == 0`` likewise short-circuits
-    the width computation, making the result identical to
-    ``max_theta_choose`` on any input.
+    from the initial parameter.  ``omega == 0`` (Max-Theta) likewise
+    skips the widths.  Both rank by the logits ``theta_bar . x``: the
+    top-k is the same as by ``exp`` of them, which overflows to tied
+    ``inf`` above about 709.
     """
     if omega == 0.0 or state.t == 0:
-        scores = np.exp(state.theta_bar @ context.features)
+        scores = state.theta_bar @ context.features
     else:
         cw = confidence_widths(state, context, omega)
         scores = cw.utilities + cw.widths
     return PolicyDecision(top_k_subset(scores, k))
-
-
-def max_theta_choose(
-    state: EstimatorState, context: ContextMatrix, k: int
-) -> PolicyDecision:
-    """Top-k arms by estimated utility alone (zero exploration bonus)."""
-    return cppl_choose(state, context, k, omega=0.0)
-
-
-def epsilon_greedy_choose(
-    state: EstimatorState,
-    context: ContextMatrix,
-    k: int,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> PolicyDecision:
-    """Greedy top-k with probability 1 - epsilon, else a uniform random k-subset."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
-    greedy = max_theta_choose(state, context, k)
-    if epsilon > 0.0 and rng.random() < epsilon:
-        subset = tuple(sorted(int(i) for i in rng.choice(context.n, size=k, replace=False)))
-        return PolicyDecision(subset)
-    return greedy
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +197,6 @@ def mm_fit(state: MMState, max_iters: int = 100, tol: float = 1e-8) -> MMState:
     return replace(state, weights=w)
 
 
-def mm_choose(state: MMState, k: int) -> PolicyDecision:
-    """Greedy top-k arms by fitted weight."""
-    return PolicyDecision(top_k_subset(state.weights, k))
-
-
 # ---------------------------------------------------------------------------
 # Uniform policy interface
 # ---------------------------------------------------------------------------
@@ -302,15 +271,8 @@ class CPPLPolicy(Policy):
             self.state = _attach_inverse(self.state)
 
 
-class MaxThetaPolicy(CPPLPolicy):
-    """Greedy subset selection by estimated utility (no exploration bonus)."""
-
-    def __init__(self, d, rng, gamma1=2.0, alpha=0.6, ridge=1e-6):
-        super().__init__(d, rng, gamma1=gamma1, alpha=alpha, omega=0.0, ridge=ridge)
-
-
 class EpsilonGreedyPolicy(CPPLPolicy):
-    """MaxTheta with an epsilon-probability uniformly random subset."""
+    """Max-Theta with an epsilon-probability uniformly random subset."""
 
     def __init__(self, d, rng, epsilon=0.1, gamma1=2.0, alpha=0.6, ridge=1e-6):
         super().__init__(d, rng, gamma1=gamma1, alpha=alpha, omega=0.0, ridge=ridge)
@@ -320,7 +282,13 @@ class EpsilonGreedyPolicy(CPPLPolicy):
         self.rng = rng
 
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
-        return epsilon_greedy_choose(self.state, context, k, self.epsilon, self.rng)
+        """Greedy top-k with probability 1 - epsilon, else a uniform random k-subset."""
+        # The greedy step runs first, so a bad k raises before any draw.
+        greedy = cppl_choose(self.state, context, k, 0.0)
+        if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
+            subset = self.rng.choice(context.n, size=k, replace=False)
+            return PolicyDecision(tuple(sorted(int(i) for i in subset)))
+        return greedy
 
 
 class MMPolicy(Policy):
@@ -337,7 +305,7 @@ class MMPolicy(Policy):
         self.state = MMState.uniform(n)
 
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
-        return mm_choose(self.state, k)
+        return PolicyDecision(top_k_subset(self.state.weights, k))
 
     def _update(self, obs: Observation) -> None:
         self.state = mm_fit(self.state.record(obs.subset, obs.feedback))

@@ -30,7 +30,7 @@ from .plackett_luce import (
     ContextMatrix, Ranking, UtilityVector, prob_full_ranking, prob_partial_ranking,
     prob_top_rank, sample_partial_ranking, sample_winner,
 )
-from .policies import max_theta_choose, top_k_subset
+from .policies import cppl_choose, top_k_subset
 
 __all__ = [
     "LIMITS", "VERIFY_LIMITS", "failures", "random_observation", "random_state",
@@ -66,7 +66,7 @@ def random_observation(rng, d, n, subset_size, mode):
     else:
         order = list(subset)
         rng.shuffle(order)
-        feedback = RankingFeedback(Ranking.from_ordering(order))
+        feedback = RankingFeedback(Ranking(order))
     return Observation(feedback=feedback, subset=subset, context=context)
 
 
@@ -90,7 +90,7 @@ def linear_extension_sum(utils, subset, ranking):
     """Sum of full-ranking probabilities over the linear extensions of ``ranking``."""
     members = set(subset)
     return sum(
-        prob_full_ranking(utils, Ranking.from_ordering(perm))
+        prob_full_ranking(utils, Ranking(perm))
         for perm in itertools.permutations(range(len(utils)))
         if tuple(a for a in perm if a in members) == ranking.ordering
     )
@@ -157,13 +157,13 @@ def pl_exactness_errors(rng, max_n):
     worst = {"full": 0.0, "extensions": 0.0, "top_rank": 0.0}
     for n in range(2, max_n + 1):
         utils = UtilityVector.from_values(rng.uniform(0.1, 3.0, size=n))
-        total = sum(prob_full_ranking(utils, Ranking.from_ordering(p))
+        total = sum(prob_full_ranking(utils, Ranking(p))
                     for p in itertools.permutations(range(n)))
         worst["full"] = max(worst["full"], abs(total - 1.0))
         for size in range(1, min(3, n) + 1):
             for subset in itertools.combinations(range(n), size):
                 for ordering in itertools.permutations(subset):
-                    ranking = Ranking.from_ordering(ordering)
+                    ranking = Ranking(ordering)
                     direct = prob_partial_ranking(utils, subset, ranking)
                     brute = linear_extension_sum(utils, subset, ranking)
                     worst["extensions"] = max(worst["extensions"], abs(direct - brute))
@@ -197,7 +197,7 @@ def ranking_deviation(rng, draws, values):
     subset = tuple(range(len(utils)))
     freq = Counter(sample_partial_ranking(utils, subset, rng).ordering for _ in range(draws))
     return max(
-        abs(freq[p] / draws - prob_partial_ranking(utils, subset, Ranking.from_ordering(p)))
+        abs(freq[p] / draws - prob_partial_ranking(utils, subset, Ranking(p)))
         for p in itertools.permutations(subset)
     )
 
@@ -208,7 +208,7 @@ def width_errors(rng, width_cases, greedy_cases):
     ``width``: worst relative gap, over ``width_cases`` random states, between
     ``confidence_widths`` and ``sqrt(bracket * ||Sigma^1/2 M Sigma^1/2||)`` by
     eigen-decomposition.  ``disagreements``: in how many of ``greedy_cases``
-    ``max_theta_choose`` (``cppl_choose`` at omega = 0) differs from
+    ``cppl_choose`` at omega = 0 (Max-Theta) differs from
     ``exhaustive_top_k`` of the utilities ``exp(theta_bar . x)``.
     """
     worst = 0.0
@@ -222,7 +222,7 @@ def width_errors(rng, width_cases, greedy_cases):
         log_t = math.log(state.t)
         bracket = 2 * log_t + d + 2 * math.sqrt(d * log_t)
         for i in range(context.n):
-            x = context.column(i)
+            x = context.features[:, i]
             M = math.exp(2 * x @ state.theta_bar) * np.outer(x, x)
             op_norm = max(np.linalg.eigvalsh(root @ M @ root).max(), 0.0)
             expected = math.sqrt(bracket * op_norm)
@@ -235,7 +235,7 @@ def width_errors(rng, width_cases, greedy_cases):
         state = random_state(rng, d, 0, 50)
         context = ContextMatrix(rng.uniform(size=(d, n)))
         k = int(rng.integers(1, n))
-        disagreements += (max_theta_choose(state, context, k).subset
+        disagreements += (cppl_choose(state, context, k, 0.0).subset
                           != exhaustive_top_k(np.exp(state.theta_bar @ context.features), k))
     return {"width": float(worst), "disagreements": disagreements}
 

@@ -8,7 +8,6 @@ import pytest
 
 from preselect import (
     AlgoSelectEnvironment,
-    RegretTrace,
     RuntimeTable,
     SyntheticEnvironment,
     SyntheticScenario,
@@ -18,10 +17,9 @@ from preselect import (
     load_runtime_table,
     load_solver_features,
     bundled_solver_features,
+    contextual_utilities,
     preprocess_features,
     sample_feedback,
-    synthetic_round,
-    true_utilities,
 )
 from preselect.cli import main as cli_main
 from preselect.likelihood import RankingFeedback, WinnerFeedback
@@ -53,18 +51,22 @@ def preprocessing_fixture():
     return np.column_stack([c0, c1, c2, c3, c4, c5])
 
 
+def synthetic_context(scenario, t):
+    return SyntheticEnvironment(scenario).round(t)[0]
+
+
 class TestSyntheticRound:
     def test_deterministic_per_seed_and_round(self, rng):
         scenario = make_scenario(rng)
-        a = synthetic_round(scenario, 7)
-        b = synthetic_round(scenario, 7)
+        a = synthetic_context(scenario, 7)
+        b = synthetic_context(scenario, 7)
         np.testing.assert_array_equal(a.features, b.features)
-        c = synthetic_round(scenario, 8)
+        c = synthetic_context(scenario, 8)
         assert not np.array_equal(a.features, c.features)
 
     def test_shape_and_round_index(self, rng):
         scenario = make_scenario(rng, n=10, d=5, k=3, T=20)
-        X = synthetic_round(scenario, 4)
+        X = synthetic_context(scenario, 4)
         assert X.features.shape == (5, 10)
         # Round t's entries come from the stream of (seed, t) alone.
         stream = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(3, 4))
@@ -75,7 +77,7 @@ class TestSyntheticRound:
     def test_entries_uniform(self, rng):
         scenario = make_scenario(rng, n=100, d=10, T=100)
         values = np.concatenate(
-            [synthetic_round(scenario, t).features.ravel() for t in range(1, 101)]
+            [synthetic_context(scenario, t).features.ravel() for t in range(1, 101)]
         )
         assert values.mean() == pytest.approx(0.5, abs=0.01)
         assert values.min() >= 0.0 and values.max() <= 1.0
@@ -83,7 +85,7 @@ class TestSyntheticRound:
     def test_round_out_of_range(self, rng):
         scenario = make_scenario(rng, T=5)
         with pytest.raises(ValueError):
-            synthetic_round(scenario, 6)
+            synthetic_context(scenario, 6)
 
     def test_theta_star_in_unit_cube(self, rng):
         scenario = make_scenario(rng)
@@ -123,19 +125,6 @@ class TestInstantRegret:
             vals = rng.uniform(0.01, 10.0, size=5)
             r = instant_regret(UtilityVector.from_values(vals), (int(rng.integers(5)),))
             assert 0.0 <= r <= 1.0
-
-
-class TestRegretTrace:
-    def test_cumulative_is_running_sum(self, rng):
-        inst = rng.uniform(size=30)
-        trace = RegretTrace(inst)
-        np.testing.assert_allclose(trace.cumulative, np.cumsum(inst))
-        assert np.all(np.diff(trace.cumulative) >= 0)
-        assert trace.cumulative[-1] <= trace.T
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            RegretTrace(np.array([0.5, 1.5]))
 
 
 class TestPreprocessing:
@@ -254,6 +243,13 @@ class TestAlgoSelect:
         with pytest.raises(ValueError, match="lam must be nonnegative"):
             AlgoSelectEnvironment(small_table(), lam=lam, rng=rng)
 
+    def test_environment_rejects_table_with_no_usable_column(self, rng):
+        table = small_table()
+        flat = RuntimeTable(runtimes=table.runtimes, instance_features=np.ones((30, 5)),
+                            solver_features=table.solver_features)
+        with pytest.raises(ValueError, match="no instance-feature column"):
+            AlgoSelectEnvironment(flat, lam=10.0, rng=rng)
+
     def test_environment_preprocesses_once(self, rng):
         table = small_table()
         env = AlgoSelectEnvironment(table, lam=10.0, rng=rng)
@@ -316,6 +312,24 @@ class TestCsvLoading:
                          "--out", str(tmp_path / "out.csv")])
         assert code == 1
         assert f"{path}: no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ids, rows, reason", [
+        (("a", "b", "c"), "a,0.1,0.5,0.2\nb,0.1,0.5,0.2\nc,0.1,0.5,0.2\n",
+         "no instance-feature column"),
+        (("a",), "a,0.1,0.5,0.2\n", "need a matrix with at least 2 rows"),
+    ], ids=["no-column-left", "one-row"])
+    def test_unusable_feature_table_is_config_error_naming_file(
+        self, tmp_path, capsys, ids, rows, reason
+    ):
+        rt, fi, sf = self._write_files(tmp_path, ids=ids)
+        fi.write_text("instance_id,f0,f1,f2\n" + rows)
+        out = tmp_path / "out.csv"
+        code = cli_main(["algoselect", "--k", "1", "--T", "1", "--runtimes", str(rt),
+                         "--instance-features", str(fi), "--solver-features", str(sf),
+                         "--out", str(out)])
+        assert code == 1
+        assert f"configuration error: {fi}: {reason}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_solver_features_header_checked(self, tmp_path):
         bad = tmp_path / "solvers.csv"
@@ -406,5 +420,5 @@ class TestSyntheticEnvironment:
         scenario = make_scenario(rng)
         env = SyntheticEnvironment(scenario)
         context, utils = env.round(3)
-        expected = true_utilities(scenario.theta_star, context)
+        expected = contextual_utilities(scenario.theta_star, context)
         np.testing.assert_allclose(utils.values, expected.values)

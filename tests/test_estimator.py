@@ -356,7 +356,7 @@ class TestConfidenceWidths:
         cw = confidence_widths(state, context, omega=1.0)
         sigma = covariance(state)
         for i in range(4):
-            x = context.column(i)
+            x = context.features[:, i]
             info = math.exp(2 * x @ state.theta_bar) * (x @ sigma @ x)
             assert cw.widths[i] == pytest.approx(math.sqrt(3 * info), rel=1e-12)
 
@@ -387,7 +387,7 @@ class TestConfidenceWidths:
             log_t = math.log(state.t)
             bracket = 2 * log_t + d + 2 * math.sqrt(d * log_t)
             for i in range(context.n):
-                x = context.column(i)
+                x = context.features[:, i]
                 M = math.exp(2 * x @ state.theta_bar) * np.outer(x, x)
                 op_norm = np.linalg.eigvalsh(root @ M @ root).max()
                 expected = math.sqrt(bracket * max(op_norm, 0.0))

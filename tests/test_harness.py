@@ -1,6 +1,8 @@
 """Harness tests: the online loop, aggregation, emission, and the CLI."""
 
+import ast
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -18,11 +20,11 @@ from preselect import (
     ExperimentConfig,
     Policy,
     PolicyDecision,
+    contextual_utilities,
     emit_results,
     load_runtime_table,
     run_experiment,
     run_repetition,
-    true_utilities,
 )
 from preselect.cli import main as cli_main
 
@@ -35,7 +37,7 @@ class OraclePolicy(Policy):
         self.theta_star = theta_star
 
     def _choose(self, context, k):
-        utils = true_utilities(self.theta_star, context).values
+        utils = contextual_utilities(self.theta_star, context).values
         best = int(np.argmax(utils))
         rest = [i for i in range(context.n) if i != best][: k - 1]
         return PolicyDecision(tuple(sorted([best] + rest)))
@@ -101,11 +103,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(environment="algoselect")
 
+    @pytest.mark.parametrize("field, value", [
+        ("out", 5), ("out", None), ("runtimes", 0), ("instance_features", ["fi.csv"]),
+        ("solver_features", 1.5),
+    ])
+    def test_path_fields_must_be_strings(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must be a path string"):
+            ExperimentConfig(**{field: value})
+
 
 class TestRunRepetition:
     def test_zero_rounds_gives_empty_trace(self):
-        trace = run_repetition(small_config(T=0), 0)
-        assert trace.T == 0
+        assert run_repetition(small_config(T=0), 0).shape == (0,)
 
     def test_oracle_policy_has_zero_regret(self):
         config = small_config(T=30)
@@ -115,8 +124,8 @@ class TestRunRepetition:
 
         rep_seed, _, _, setup_rng = _streams(config.seed, 0)
         env = _build_environment(config, rep_seed, setup_rng, None)
-        trace = run_repetition(config, 0, policy=OraclePolicy(env.scenario.theta_star))
-        np.testing.assert_array_equal(trace.instantaneous, 0.0)
+        regrets = run_repetition(config, 0, policy=OraclePolicy(env.scenario.theta_star))
+        np.testing.assert_array_equal(regrets, 0.0)
 
     @pytest.mark.parametrize("feedback", ["winner", "ranking"])
     @pytest.mark.parametrize("subset", [(0, 0), (0, 6), (-1, 0)])
@@ -130,9 +139,7 @@ class TestRunRepetition:
     @pytest.mark.parametrize("feedback", ["winner", "ranking"])
     def test_replay_determinism(self, policy, feedback):
         config = small_config(policy=policy, feedback=feedback, T=25)
-        t1 = run_repetition(config, 0)
-        t2 = run_repetition(config, 0)
-        np.testing.assert_array_equal(t1.instantaneous, t2.instantaneous)
+        np.testing.assert_array_equal(run_repetition(config, 0), run_repetition(config, 0))
 
     def test_environment_draws_independent_of_policy(self):
         # Identical seeds must yield identical contexts regardless of policy.
@@ -173,14 +180,13 @@ class TestRunExperiment:
     def test_single_repetition_mean_is_trace(self):
         config = small_config(reps=1)
         result = run_experiment(config)
-        trace = run_repetition(config, 0)
-        np.testing.assert_allclose(result.mean_cum_regret, trace.cumulative)
+        np.testing.assert_allclose(result.mean_cum_regret, np.cumsum(run_repetition(config, 0)))
         np.testing.assert_array_equal(result.stderr, 0.0)
 
     def test_aggregate_matches_recomputation(self):
         config = small_config(reps=4, T=30)
         result = run_experiment(config)
-        traces = np.stack([run_repetition(config, r).cumulative for r in range(4)])
+        traces = np.stack([np.cumsum(run_repetition(config, r)) for r in range(4)])
         np.testing.assert_allclose(result.mean_cum_regret, traces.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(
             result.stderr, traces.std(axis=0, ddof=1) / 2.0, atol=1e-12
@@ -348,6 +354,21 @@ class TestCli:
         assert code == 1
         assert "seed must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, values, field", [
+        ("synthetic", {"out": 5}, "out"),
+        ("algoselect", {"runtimes": 0, "instance_features": "fi.csv"}, "runtimes"),
+        ("algoselect", {"runtimes": "rt.csv", "instance_features": 7}, "instance_features"),
+    ])
+    def test_non_string_path_in_config_exits_one(
+        self, tmp_path, capsys, monkeypatch, command, values, field
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 5, "reps": 1, "k": 1, **values}))
+        assert cli_main([command, "--config", str(cfg)]) == 1
+        assert f"configuration error: {field} must be a path string" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_config_file_not_an_object_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
@@ -439,3 +460,22 @@ class TestCli:
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 31
+
+
+class TestExports:
+    PACKAGE = Path(preselect.__file__).resolve().parent
+
+    def test_every_exported_name_resolves(self):
+        for path in sorted(self.PACKAGE.glob("[!_]*.py")):
+            module = importlib.import_module(f"preselect.{path.stem}")
+            missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+            assert not missing, (path.stem, missing)
+
+    def test_package_imports_only_exported_names(self):
+        tree = ast.parse((self.PACKAGE / "__init__.py").read_text())
+        imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+        assert imports
+        for node in imports:
+            exported = importlib.import_module(f"preselect.{node.module}").__all__
+            stale = [alias.name for alias in node.names if alias.name not in exported]
+            assert not stale, (node.module, stale)

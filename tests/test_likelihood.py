@@ -65,7 +65,7 @@ def spread_observations(draw):
     if draw(st.booleans()):
         feedback = WinnerFeedback(order[0])
     else:
-        feedback = RankingFeedback(Ranking.from_ordering(order))
+        feedback = RankingFeedback(Ranking(order))
     theta = np.concatenate([np.ones(size), draw(arrays(np.float64, 2, elements=st.floats(-1, 1)))])
     return theta, Observation(feedback=feedback, subset=subset, context=context)
 
@@ -76,7 +76,7 @@ class TestStageKernelReference:
     @example((  # first stage at +700, the remaining stages near -700
         np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
         Observation(
-            feedback=RankingFeedback(Ranking.from_ordering((0, 2, 1))),
+            feedback=RankingFeedback(Ranking((0, 2, 1))),
             subset=(0, 1, 2),
             context=ContextMatrix(np.vstack([np.diag([700.0, -699.0, -700.0]), np.ones((2, 3))])),
         ),
@@ -110,7 +110,7 @@ class TestObservation:
         context = ContextMatrix(rng.uniform(size=(2, 4)))
         with pytest.raises(ValueError):
             Observation(
-                feedback=RankingFeedback(Ranking.from_ordering((0, 2))),
+                feedback=RankingFeedback(Ranking((0, 2))),
                 subset=(0, 1),
                 context=context,
             )
@@ -160,7 +160,7 @@ class TestLoglik:
         context = ContextMatrix(rng.uniform(size=(3, 5)))
         theta = rng.normal(size=3)
         obs_rank = Observation(
-            feedback=RankingFeedback(Ranking.from_ordering((3, 1))),
+            feedback=RankingFeedback(Ranking((3, 1))),
             subset=(1, 3),
             context=context,
         )
@@ -189,7 +189,7 @@ class TestGradient:
         obs_w = Observation(feedback=WinnerFeedback(2), subset=(0, 2, 3), context=context)
         np.testing.assert_allclose(grad_loglik(theta, obs_w), 0.0, atol=1e-12)
         obs_r = Observation(
-            feedback=RankingFeedback(Ranking.from_ordering((3, 0, 2))),
+            feedback=RankingFeedback(Ranking((3, 0, 2))),
             subset=(0, 2, 3),
             context=context,
         )
