@@ -16,11 +16,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from .harness import ConfigError, ExperimentConfig, emit_results, run_experiment
+from .harness import FEEDBACK_MODES, FORMATS, POLICIES, ConfigError, ExperimentConfig
+from .harness import _sidecar_path, emit_results, run_experiment
 from .selfcheck import run_all_checks
 
 EXIT_OK = 0
@@ -45,8 +48,8 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--T", type=int, help="rounds per repetition")
     parser.add_argument("--reps", type=int, help="number of repetitions")
     parser.add_argument("--seed", type=int, help="base seed; repetition r uses seed+r")
-    parser.add_argument("--policy", choices=["cppl", "maxtheta", "egreedy", "mm"])
-    parser.add_argument("--feedback", choices=["winner", "ranking"])
+    parser.add_argument("--policy", choices=POLICIES)
+    parser.add_argument("--feedback", choices=FEEDBACK_MODES)
     parser.add_argument("--gamma1", type=float, help="SGD step scale")
     parser.add_argument("--alpha", type=float, help="SGD step decay, in (1/2, 1)")
     parser.add_argument("--omega", type=float, help="confidence width scale")
@@ -59,7 +62,7 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--solver-features", dest="solver_features",
                         help="solver feature CSV (default: bundled parametrizations)")
     parser.add_argument("--out", help="output path (default results.csv)")
-    parser.add_argument("--format", choices=["csv", "json"], help="output format")
+    parser.add_argument("--format", choices=FORMATS, help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,6 +102,16 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_writable(path: Path) -> None:
+    """Raise ``OSError`` naming ``path`` unless it can be written; creates nothing."""
+    if path.exists():
+        ok = not path.is_dir() and os.access(path, os.W_OK)
+    else:
+        ok = path.parent.is_dir() and os.access(path.parent, os.W_OK | os.X_OK)
+    if not ok:
+        raise OSError(f"cannot write {path}")
+
+
 def _run_verify(args: argparse.Namespace) -> int:
     results = run_all_checks(seed=args.seed)
     failed = 0
@@ -115,6 +128,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _run_verify(args)
         config = _config_from_args(args)
+        out = Path(config.out)  # checked before round 1, so a bad path costs no run
+        _check_writable(out)
+        if config.format == "csv":
+            _check_writable(_sidecar_path(out))
         result = run_experiment(config)
         emit_results(result, config.out, config.format)
         print(

@@ -33,6 +33,8 @@ from .likelihood import Feedback, RankingFeedback, WinnerFeedback
 from .plackett_luce import (
     ContextMatrix,
     UtilityVector,
+    _check_k,
+    _check_setting,
     _check_subset,
     contextual_utilities,
     sample_partial_ranking,
@@ -72,10 +74,9 @@ class SyntheticScenario:
 
     def __post_init__(self):
         theta = np.asarray(self.theta_star, dtype=float)
-        if self.n < 2 or self.d < 1 or self.T < 0:
-            raise ValueError("need n >= 2, d >= 1, T >= 0")
-        if not 1 <= self.k < self.n:
-            raise ValueError("k must satisfy 1 <= k < n")
+        _check_k(self.k, self.n)
+        if self.d < 1 or self.T < 0:
+            raise ValueError("need d >= 1, T >= 0")
         if theta.shape != (self.d,):
             raise ValueError("theta_star must have dimension d")
         if not (np.all(theta >= 0) and np.all(theta <= 1)):
@@ -207,8 +208,7 @@ def algoselect_round(
     ``exp(-lam * runtime)``.
     """
     order = np.asarray(order, dtype=int)
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
+    _check_setting("lam", lam)
     if t < 1 or t > order.size:
         raise RuntimeError(
             f"environment exhausted: round {t} of {order.size} available instances"
@@ -276,8 +276,7 @@ class AlgoSelectEnvironment:
     """
 
     def __init__(self, table: RuntimeTable, lam: float, rng: np.random.Generator):
-        if not lam >= 0:  # also rejects NaN
-            raise ValueError(f"lam must be nonnegative, got {lam!r}")
+        _check_setting("lam", lam)
         reduced, kept = preprocess_features(table.instance_features)
         if not kept:
             raise ValueError(

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .likelihood import Observation, _hessian_factors, grad_loglik, hessian_loglik
-from .plackett_luce import ContextMatrix
+from .plackett_luce import ContextMatrix, _check_setting, _check_theta
 
 __all__ = [
     "EstimatorState",
@@ -87,12 +87,8 @@ class EstimatorState:
             raise ValueError("accumulators must be d x d matrices")
         if self.t < 0:
             raise ValueError("update counter must be nonnegative")
-        if not (math.isfinite(self.gamma1) and self.gamma1 > 0):
-            raise ValueError(f"gamma1 must be finite and positive, got {self.gamma1!r}")
-        if not 0.5 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (1/2, 1)")
-        if not (math.isfinite(self.ridge) and self.ridge > 0):
-            raise ValueError(f"ridge must be finite and positive, got {self.ridge!r}")
+        for name in ("gamma1", "alpha", "ridge"):
+            _check_setting(name, getattr(self, name))
         object.__setattr__(self, "theta_hat", theta_hat)
         object.__setattr__(self, "theta_bar", theta_bar)
         object.__setattr__(self, "S_accum", S)
@@ -155,10 +151,6 @@ def sgd_update(state: EstimatorState, obs: Observation) -> EstimatorState:
     definitions.  A carried ``S_accum_inv`` is moved to the new
     ``S_accum`` by one Woodbury step (see ``_woodbury_step``).
     """
-    if obs.context.d != state.d:
-        raise ValueError(
-            f"observation dimension {obs.context.d} does not match state dimension {state.d}"
-        )
     t_new = state.t + 1
     step = state.gamma1 * t_new ** (-state.alpha)
     theta_hat = state.theta_hat + step * grad_loglik(state.theta_hat, obs)
@@ -270,20 +262,14 @@ def confidence_widths(
     ``Sigma^(1/2) [exp(2 x.theta_bar) x x^T] Sigma^(1/2)`` in closed
     form; the square root of Sigma is never materialized.
     """
-    if state.t < 1:
-        raise RuntimeError("confidence widths are undefined before the first update")
-    if context.d != state.d:
-        raise ValueError(
-            f"context dimension {context.d} does not match state dimension {state.d}"
-        )
-    if omega < 0:
-        raise ValueError("omega must be nonnegative")
+    _check_setting("omega", omega)
     X = context.features
     with np.errstate(over="ignore"):  # overflow becomes an explicit error below
-        utilities = np.exp(state.theta_bar @ X)
+        sigma = covariance(state)  # raises before the first update
+        utilities = np.exp(_check_theta(state.theta_bar, context.d) @ X)
         if not np.all(np.isfinite(utilities)):
             raise OverflowError("estimated utilities overflowed; rescale the features")
-        quad = ((covariance(state) @ X) * X).sum(axis=0)
+        quad = ((sigma @ X) * X).sum(axis=0)
         quad = np.maximum(quad, 0.0)  # guard tiny negative round-off
         log_t = math.log(state.t)
         bracket = 2.0 * log_t + state.d + 2.0 * math.sqrt(state.d * log_t)
@@ -295,30 +281,27 @@ def confidence_widths(
     return ConfidenceWidths(widths=widths, utilities=utilities)
 
 
+def _check_tail_args(d: int, x: float, name: str = "d") -> None:
+    """The one tail-bound argument rule: ``d >= 1`` degrees of freedom and ``x >= 0``."""
+    if not (d >= 1 and x >= 0):
+        raise ValueError(f"need {name} >= 1 and x >= 0, got {name}={d!r}, x={x!r}")
+
+
 def f_tail_threshold(d1: int, x: float) -> float:
     """Threshold ``s`` such that an F(d1, d2) variable exceeds s with small probability."""
-    if d1 < 1:
-        raise ValueError("d1 must be a positive integer")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    _check_tail_args(d1, x, "d1")
     return 4.0 * (d1 + 2.0 * math.sqrt(d1 * x) + 2.0 * x) / (3.0 * d1)
 
 
 def f_tail_bound(d2: int, x: float) -> float:
     """Upper bound on ``P(F >= f_tail_threshold(d1, x))``: ``exp(-x) + exp(-3 d2 / 256)``."""
-    if d2 < 1:
-        raise ValueError("d2 must be a positive integer")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    _check_tail_args(d2, x, "d2")
     return math.exp(-x) + math.exp(-3.0 * d2 / 256.0)
 
 
 def chi2_upper_tail_bound(d: int, x: float) -> float:
     """Bound ``exp(-x)`` on ``P(Y - d >= 2 sqrt(d x) + 2 x)`` for ``Y ~ chi2(d)``."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    _check_tail_args(d, x)
     return math.exp(-x)
 
 
@@ -330,10 +313,7 @@ def chi2_tail_bounds(d: int, x: float) -> tuple[float, float]:
     respectively.  The second form is only valid for ``x < 1/2``; use
     ``chi2_upper_tail_bound`` alone for larger ``x``.
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    upper = chi2_upper_tail_bound(d, x)  # checks d and x
     if x >= 0.5:
         raise ValueError("the concentration bound requires x in [0, 1/2)")
-    return chi2_upper_tail_bound(d, x), math.exp(-3.0 * d * x * x / 16.0)
+    return upper, math.exp(-3.0 * d * x * x / 16.0)

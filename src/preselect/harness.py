@@ -42,6 +42,7 @@ from .environments import (
     load_runtime_table,
     sample_feedback,
 )
+from .plackett_luce import _SETTING_RULES, _check_k, _check_setting
 from .policies import CPPLPolicy, EpsilonGreedyPolicy, MMPolicy, Policy
 
 __all__ = [
@@ -56,10 +57,19 @@ __all__ = [
 POLICIES = ("cppl", "maxtheta", "egreedy", "mm")
 FEEDBACK_MODES = ("winner", "ranking")
 ENVIRONMENTS = ("synthetic", "algoselect")
+FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _config_rule(check, *args) -> None:
+    """Run a shared input rule, re-raising its ``ValueError`` as ``ConfigError``."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -98,31 +108,20 @@ class ExperimentConfig:
             raise ConfigError(f"unknown policy {self.policy!r}")
         if self.feedback not in FEEDBACK_MODES:
             raise ConfigError(f"unknown feedback mode {self.feedback!r}")
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise ConfigError(f"unknown output format {self.format!r}")
         for name in ("T", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
-        for name in ("gamma1", "alpha", "omega", "epsilon", "lam", "ridge"):
+        for name in _SETTING_RULES:
             value = getattr(self, name)
+            label = "lambda" if name == "lam" else name
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not math.isfinite(value)):
-                label = "lambda" if name == "lam" else name
                 raise ConfigError(f"{label} must be a finite number, got {value!r}")
-        if not self.gamma1 > 0:
-            raise ConfigError("gamma1 must be positive")
-        if not 0.5 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie in (1/2, 1)")
-        if self.omega < 0:
-            raise ConfigError("omega must be nonnegative")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError("epsilon must lie in [0, 1]")
-        if self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
-        if not self.ridge > 0:
-            raise ConfigError("ridge must be positive")
+            _config_rule(_check_setting, name, value, label)
         if not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string, got {self.out!r}")
         for name in ("runtimes", "instance_features", "solver_features"):
@@ -132,8 +131,7 @@ class ExperimentConfig:
         if self.environment == "synthetic":
             if self.d < 1:
                 raise ConfigError("d must be >= 1")
-            if not 1 <= self.k < self.n:
-                raise ConfigError("k must satisfy 1 <= k < n")
+            _config_rule(_check_k, self.k, self.n)
         else:
             if self.runtimes is None or self.instance_features is None:
                 raise ConfigError(
@@ -190,8 +188,7 @@ def _build_environment(config: ExperimentConfig, rep_seed, setup_rng, table):
         raise ConfigError(
             f"T={config.T} exceeds the {env.max_rounds} available instances"
         )
-    if not 1 <= config.k < env.n:
-        raise ConfigError(f"k must satisfy 1 <= k < {env.n} solvers")
+    _config_rule(_check_k, config.k, env.n)
     return env
 
 
@@ -274,6 +271,11 @@ def run_experiment(config: ExperimentConfig) -> AggregatedResult:
     )
 
 
+def _sidecar_path(path: Path) -> Path:
+    """Where ``emit_results`` writes the csv format's JSON sidecar."""
+    return path.with_name(path.name + ".meta.json")
+
+
 def emit_results(result: AggregatedResult, path: str | Path, format: str = "csv") -> None:
     """Write aggregated results to ``path`` in the given format.
 
@@ -295,7 +297,7 @@ def emit_results(result: AggregatedResult, path: str | Path, format: str = "csv"
             "final_regrets": [float(v) for v in result.final_regrets],
             "wall_time_s": result.wall_time_s,
         }
-        with open(path.with_name(path.name + ".meta.json"), "w") as fh:
+        with open(_sidecar_path(path), "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
     elif format == "json":

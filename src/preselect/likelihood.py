@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plackett_luce import ContextMatrix, Ranking, _check_subset, _suffix_log_normalizers
+from .plackett_luce import (
+    ContextMatrix, Ranking, _check_subset, _check_theta, _suffix_log_normalizers,
+)
 
 __all__ = [
     "WinnerFeedback",
@@ -90,12 +92,9 @@ class Observation:
 
 def _stage_terms(theta: np.ndarray, obs: Observation):
     """Stage-ordered columns X (observed stages first), logits, lognorm and P."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size != obs.context.d:
-        raise ValueError(f"theta has dimension {theta.size}, context expects {obs.context.d}")
     stages = obs.stages
     feats = obs.context.features[:, stages + tuple(i for i in obs.subset if i not in stages)]
-    logits = theta @ feats
+    logits = _check_theta(theta, obs.context.d) @ feats
     lognorm = _suffix_log_normalizers(logits)[: len(stages)]
     log_probs = logits - lognorm[:, None]
     for i in range(1, len(stages)):

@@ -15,6 +15,7 @@ Every function is pure; random sampling takes a caller-owned
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -108,11 +109,10 @@ class UtilityVector:
 
     @classmethod
     def from_values(cls, values: Sequence[float] | np.ndarray) -> "UtilityVector":
+        """From utilities; the constructor checks the shape and finiteness of their logs."""
         vals = np.asarray(values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("utilities must be a nonempty vector")
-        if not (np.all(np.isfinite(vals)) and np.all(vals > 0)):
-            raise ValueError("utilities must be strictly positive and finite")
+        if not np.all(vals > 0):
+            raise ValueError("utilities must be strictly positive")
         return cls(np.log(vals))
 
     @property
@@ -125,12 +125,41 @@ class UtilityVector:
 
 def contextual_utilities(theta: np.ndarray, context: ContextMatrix) -> UtilityVector:
     """Utilities ``v_i = exp(theta . x_i)`` for every arm column of the context."""
+    return UtilityVector(_check_theta(theta, context.d) @ context.features)
+
+
+# Input rules, each written once: the config and the constructors call these.
+_POSITIVE = ("finite and positive", lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = ("nonnegative and finite", lambda v: 0.0 <= v < math.inf)
+_SETTING_RULES = {  # setting -> (what it must be, test)
+    "gamma1": _POSITIVE,
+    "alpha": ("in (1/2, 1)", lambda v: 0.5 < v < 1.0),
+    "omega": _NONNEGATIVE,
+    "epsilon": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "lam": _NONNEGATIVE,
+    "ridge": _POSITIVE,
+}
+
+
+def _check_setting(name: str, value: float, label: str | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` obeys ``name``'s rule; the message says ``label``."""
+    what, ok = _SETTING_RULES[name]
+    if not ok(value):
+        raise ValueError(f"{label or name} must be {what}, got {value!r}")
+
+
+def _check_k(k: int, n: int) -> None:
+    """The one preselection-size rule: ``1 <= k < n``."""
+    if not 1 <= k < n:
+        raise ValueError(f"k must satisfy 1 <= k < n (got k={k}, n={n})")
+
+
+def _check_theta(theta: np.ndarray, d: int) -> np.ndarray:
+    """``theta`` as a float vector, if it has the context's dimension ``d``."""
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size != context.d:
-        raise ValueError(
-            f"theta has dimension {theta.size}, context expects {context.d}"
-        )
-    return UtilityVector(theta @ context.features)
+    if theta.ndim != 1 or theta.size != d:
+        raise ValueError(f"theta has dimension {theta.size}, context expects {d}")
+    return theta
 
 
 def _check_subset(subset: Sequence[int], n: int) -> tuple[int, ...]:

@@ -25,7 +25,6 @@ Policies:
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -34,7 +33,7 @@ import numpy as np
 
 from .estimator import EstimatorState, _attach_inverse, confidence_widths, sgd_update
 from .likelihood import Feedback, Observation, WinnerFeedback, _check_feedback
-from .plackett_luce import ContextMatrix, _check_subset
+from .plackett_luce import ContextMatrix, _check_k, _check_setting, _check_subset
 
 __all__ = [
     "PolicyDecision",
@@ -63,9 +62,7 @@ class PolicyDecision:
 def top_k_subset(scores: np.ndarray, k: int) -> tuple[int, ...]:
     """Indices of the k largest scores; ties break toward the lowest index."""
     scores = np.asarray(scores, dtype=float)
-    n = scores.size
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n (got k={k}, n={n})")
+    _check_k(k, scores.size)
     order = np.argsort(-scores, kind="stable")
     return tuple(sorted(int(i) for i in order[:k]))
 
@@ -255,8 +252,7 @@ class CPPLPolicy(Policy):
         ridge: float = 1e-6,
     ):
         super().__init__()
-        if not (math.isfinite(omega) and omega >= 0):
-            raise ValueError(f"omega must be finite and nonnegative, got {omega!r}")
+        _check_setting("omega", omega)
         self.omega = omega
         self.state = EstimatorState.init(d, rng, gamma1=gamma1, alpha=alpha, ridge=ridge)
         # Only widths read the covariance, so only omega > 0 keeps the inverse.
@@ -276,8 +272,7 @@ class EpsilonGreedyPolicy(CPPLPolicy):
 
     def __init__(self, d, rng, epsilon=0.1, gamma1=2.0, alpha=0.6, ridge=1e-6):
         super().__init__(d, rng, gamma1=gamma1, alpha=alpha, omega=0.0, ridge=ridge)
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
+        _check_setting("epsilon", epsilon)
         self.epsilon = epsilon
         self.rng = rng
 

@@ -243,6 +243,16 @@ class TestAlgoSelect:
         with pytest.raises(ValueError, match="lam must be nonnegative"):
             AlgoSelectEnvironment(small_table(), lam=lam, rng=rng)
 
+    @pytest.mark.parametrize("entry", ["environment", "round"])
+    def test_infinite_lambda_rejected_where_called(self, rng, entry):
+        # exp(-inf * runtime) is no utility; both entries apply the one lam rule.
+        table = small_table()
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite, got inf"):
+            if entry == "environment":
+                AlgoSelectEnvironment(table, lam=float("inf"), rng=rng)
+            else:
+                algoselect_round(table, np.arange(table.num_instances), 1, lam=float("inf"))
+
     def test_environment_rejects_table_with_no_usable_column(self, rng):
         table = small_table()
         flat = RuntimeTable(runtimes=table.runtimes, instance_features=np.ones((30, 5)),

@@ -407,6 +407,18 @@ class TestConfidenceWidths:
         with pytest.raises(OverflowError):
             confidence_widths(state, context, omega=1.0)
 
+    def test_context_dimension_must_match_state(self, rng):
+        state = random_state(rng, 3)
+        with pytest.raises(ValueError, match="theta has dimension 3, context expects 4"):
+            confidence_widths(state, ContextMatrix(rng.uniform(size=(4, 5))), omega=1.0)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf])
+    def test_non_finite_omega_is_a_value_error(self, rng, omega):
+        # A bad width scale is a bad input, not an overflow of the arithmetic.
+        state = random_state(rng, 2)
+        with pytest.raises(ValueError, match="omega must be nonnegative and finite"):
+            confidence_widths(state, ContextMatrix(rng.uniform(size=(2, 3))), omega=omega)
+
     def test_large_finite_logits_give_finite_widths(self, rng):
         # Logit 400: exp(2 * 400) overflows, but v_hat = exp(400) and the
         # width v_hat * sqrt(bracket * x^T Sigma x) are finite.
@@ -441,6 +453,15 @@ class TestTailBounds:
         assert conc == pytest.approx(math.exp(-3 * 20 * 0.16 / 16))
         both_one = chi2_tail_bounds(5, 0.0)
         assert both_one == (1.0, 1.0)
+
+    @pytest.mark.parametrize("bound, name", [
+        (f_tail_threshold, "d1"), (f_tail_bound, "d2"),
+        (chi2_upper_tail_bound, "d"), (chi2_tail_bounds, "d"),
+    ])
+    @pytest.mark.parametrize("d, x", [(0, 0.1), (3, -0.1), (3, math.nan)])
+    def test_every_bound_rejects_bad_arguments(self, bound, name, d, x):
+        with pytest.raises(ValueError, match=rf"^need {name} >= 1 and x >= 0"):
+            bound(d, x)
 
     def test_chi2_concentration_domain(self):
         with pytest.raises(ValueError):

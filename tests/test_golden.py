@@ -11,6 +11,10 @@ The hashes hold for Python 3.11 with numpy 2.4 on OpenBLAS 0.3.31
 round differently and fail these tests without any fault in the code.
 A change that is allowed to move numbers (ROADMAP item 5, the MM refit)
 re-pins them and says so in CHANGES.md.
+
+One more config pins the carried-inverse (Woodbury) path of
+``estimator.covariance``: cppl winner at d=40, at or above the dimension
+from which ``CPPLPolicy`` carries ``inv(S_accum)``.
 """
 
 import hashlib
@@ -18,6 +22,7 @@ import hashlib
 import pytest
 
 from preselect import ExperimentConfig, emit_results, run_experiment
+from preselect.policies import _TRACK_INVERSE_MIN_D
 
 GOLDEN = {
     ("cppl", "winner"): "b82397c428349debb569c33a62145e29b6523ff882128f31d5e6d5380f178c46",
@@ -35,3 +40,16 @@ def test_regret_csv_matches_golden_hash(tmp_path, policy, feedback):
     path = tmp_path / "regret.csv"
     emit_results(run_experiment(config), path, "csv")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[policy, feedback]
+
+
+CARRIED_INVERSE = "d241ef558d62eb814c763d71981745c17aac311d332ee1a40ae6f7c39853ea5b"
+
+
+def test_carried_inverse_regret_csv_matches_golden_hash(tmp_path):
+    assert 40 >= _TRACK_INVERSE_MIN_D  # else this config no longer reaches the path
+    config = ExperimentConfig(
+        policy="cppl", feedback="winner", n=20, d=40, k=5, T=300, reps=2, seed=0
+    )
+    path = tmp_path / "regret.csv"
+    emit_results(run_experiment(config), path, "csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CARRIED_INVERSE

@@ -16,8 +16,12 @@ import preselect
 from preselect import (
     AggregatedResult,
     AlgoSelectEnvironment,
+    CPPLPolicy,
     ConfigError,
+    EpsilonGreedyPolicy,
+    EstimatorState,
     ExperimentConfig,
+    RuntimeTable,
     Policy,
     PolicyDecision,
     contextual_utilities,
@@ -98,6 +102,36 @@ class TestConfig:
             ExperimentConfig(reps=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(policy="linucb")
+
+    @pytest.mark.parametrize("name, value", [
+        ("gamma1", 0.0), ("gamma1", -1.0), ("gamma1", float("inf")),
+        ("alpha", 0.5), ("alpha", 1.0), ("alpha", float("nan")),
+        ("omega", -1.0), ("omega", float("inf")),
+        ("epsilon", -0.1), ("epsilon", 1.5),
+        ("lam", -1.0), ("lam", float("inf")),
+        ("ridge", 0.0), ("ridge", float("nan")),
+    ])
+    def test_config_and_owning_constructor_apply_the_same_rule(self, name, value):
+        rng = np.random.default_rng(0)
+        table = RuntimeTable(runtimes=rng.uniform(size=(6, 3)),
+                             instance_features=rng.uniform(size=(6, 2)),
+                             solver_features=rng.uniform(size=(3, 4)))
+        owners = {
+            "gamma1": lambda v: EstimatorState.init(3, rng, gamma1=v),
+            "alpha": lambda v: EstimatorState.init(3, rng, alpha=v),
+            "ridge": lambda v: EstimatorState.init(3, rng, ridge=v),
+            "omega": lambda v: CPPLPolicy(3, rng, omega=v),
+            "epsilon": lambda v: EpsilonGreedyPolicy(3, rng, epsilon=v),
+            "lam": lambda v: AlgoSelectEnvironment(table, lam=v, rng=rng),
+        }
+        with pytest.raises(ValueError, match=f"^{name} must be ") as built:
+            owners[name](value)
+        assert not isinstance(built.value, ConfigError)
+        label = "lambda" if name == "lam" else name
+        with pytest.raises(ConfigError, match=f"^{label} must be ") as configured:
+            ExperimentConfig(**{name: value})
+        if np.isfinite(value):  # non-finite values stop at the config's own type rule
+            assert str(configured.value) == label + str(built.value)[len(name):]
 
     def test_algoselect_requires_paths(self):
         with pytest.raises(ConfigError):
@@ -321,6 +355,8 @@ class TestCli:
         ("omega", float("nan")), ("omega", float("inf")), ("lambda", float("nan")),
         ("gamma1", float("inf")), ("alpha", float("nan")), ("epsilon", -float("inf")),
         ("ridge", float("nan")), ("ridge", -1.0), ("ridge", 0.0), ("omega", "1.0"),
+        ("gamma1", 0.0), ("alpha", 0.5), ("alpha", 1.0), ("omega", -1.0), ("epsilon", 1.5),
+        ("lambda", -1.0),
     ])
     def test_bad_float_config_field_exits_one(self, tmp_path, capsys, field, value):
         cfg = tmp_path / "cfg.json"
@@ -368,6 +404,24 @@ class TestCli:
         assert cli_main([command, "--config", str(cfg)]) == 1
         assert f"configuration error: {field} must be a path string" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("case", ["missing-dir", "out-is-dir", "sidecar-is-dir"])
+    def test_unwritable_out_exits_two_before_round_one(self, tmp_path, capsys, monkeypatch, case):
+        calls = []
+        real = preselect.harness.run_repetition
+        monkeypatch.setattr(preselect.harness, "run_repetition",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        out = {"missing-dir": tmp_path / "no" / "such" / "x.csv",
+               "out-is-dir": tmp_path, "sidecar-is-dir": tmp_path / "x.csv"}[case]
+        bad = tmp_path / "x.csv.meta.json" if case == "sidecar-is-dir" else out
+        if case == "sidecar-is-dir":
+            bad.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code = cli_main(["synthetic", "--T", "5", "--reps", "2", "--out", str(out)])
+        assert code == 2
+        assert calls == []
+        assert f"i/o error: cannot write {bad}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_config_file_not_an_object_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
