@@ -61,6 +61,17 @@ VARIANCE_THRESHOLD = 0.01
 CORRELATION_THRESHOLD = 0.95
 
 
+def _check_world_size(T: int, d: int | None = None) -> None:
+    """The one world-size rule: ``T >= 0`` rounds and, unless None, ``d >= 1`` features.
+
+    ``d`` is None for a world whose dimension comes from its data.
+    """
+    if d is not None and d < 1:
+        raise ValueError("d must be >= 1")
+    if T < 0:
+        raise ValueError("T must be nonnegative")
+
+
 @dataclass(frozen=True)
 class SyntheticScenario:
     """Parameters of a synthetic contextual world."""
@@ -75,8 +86,7 @@ class SyntheticScenario:
     def __post_init__(self):
         theta = np.asarray(self.theta_star, dtype=float)
         _check_k(self.k, self.n)
-        if self.d < 1 or self.T < 0:
-            raise ValueError("need d >= 1, T >= 0")
+        _check_world_size(self.T, self.d)
         if theta.shape != (self.d,):
             raise ValueError("theta_star must have dimension d")
         if not (np.all(theta >= 0) and np.all(theta <= 1)):

@@ -9,6 +9,8 @@ iterates we accumulate plug-in curvature and score statistics
     V_accum = sum_i  grad loglik(theta_bar_i | obs_i) grad(...)^T
 
 from which a sandwich covariance estimate for ``theta_bar`` is formed.
+At large d the state may hold ``inv(S_accum)`` in place of ``S_accum``
+(see ``EstimatorState``).
 Per-arm confidence widths follow from the covariance through a rank-one
 operator-norm identity; together with the estimated utilities they give
 upper confidence bounds used for subset selection.
@@ -22,11 +24,11 @@ Carlo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import Observation, _hessian_factors, grad_loglik, hessian_loglik
+from .likelihood import Observation, _grad_and_factors, grad_loglik, hessian_loglik
 from .plackett_luce import ContextMatrix, _check_setting, _check_theta
 
 __all__ = [
@@ -47,28 +49,31 @@ class EstimatorState:
     """State of the averaged-SGD estimator after ``t`` updates.
 
     ``theta_hat`` is the current SGD iterate, ``theta_bar`` the running
-    average of iterates 1..t.  ``S_accum`` and ``V_accum`` are the raw
-    (unnormalized) curvature and score accumulators.  ``ridge`` is the
-    shift applied to the normalized curvature matrix before inversion
-    when it is near-singular (unavoidable in early rounds).
+    average of iterates 1..t.  ``V_accum`` is the raw (unnormalized)
+    score accumulator.  ``ridge`` is the shift applied to the normalized
+    curvature matrix before inversion when it is near-singular
+    (unavoidable in early rounds).
 
-    ``S_accum_inv`` is None or ``inv(S_accum)`` up to round-off.
-    ``sgd_update`` carries it from one ``S_accum`` to the next by a
-    Woodbury step on the new Hessian ``F C F^T`` (O(d^2 k), against
-    O(d^3) for ``inv``), and ``covariance`` then needs no ``inv``.
-    ``CPPLPolicy`` attaches it, with one ``inv``, once the ridge test
-    first passes, and only for omega > 0 and d at or above a crossover
+    The curvature is held in exactly one of two forms: the raw
+    accumulator ``S_accum`` (fresh state), or its inverse
+    ``S_accum_inv = W`` with ``S_accum`` None (carried state).  A
+    carried state never goes back: ``sgd_update`` moves W to the next
+    ``S_accum`` by a Woodbury step on the new Hessian ``F C F^T``
+    (O(d^2 k), against O(d^3) for ``inv``), and ``covariance`` and
+    ``confidence_widths`` read W alone, so neither runs an ``inv`` and
+    no ``S_accum`` is kept beside it.  ``CPPLPolicy`` switches to the
+    carried form, with one ``inv``, once the ridge test first passes,
+    and only for omega > 0 and d at or above a crossover
     (``policies._TRACK_INVERSE_MIN_D``): at small d the step's numpy
-    calls cost more than the ``inv`` they save.  Traced at d=80
-    (algoselect-d80), ``covariance`` fell from 270 to 65 us per round and
-    ``sgd_update`` rose from 36 to 100 us; over 1,200 rounds at d=80 the
-    carried inverse stayed within 1.3e-12 of ``inv(S_accum)``, relative.
+    calls cost more than the ``inv`` they save.  Over 1,200 rounds at
+    d=80 the carried W stayed within 1.3e-12 of ``inv(S_accum)``,
+    relative.
     """
 
     theta_hat: np.ndarray
     theta_bar: np.ndarray
     t: int
-    S_accum: np.ndarray
+    S_accum: np.ndarray | None
     V_accum: np.ndarray
     gamma1: float
     alpha: float
@@ -81,23 +86,21 @@ class EstimatorState:
         d = theta_hat.size
         if theta_bar.size != d:
             raise ValueError("theta_hat and theta_bar must have equal dimension")
-        S = np.asarray(self.S_accum, dtype=float)
+        if (self.S_accum is None) == (self.S_accum_inv is None):
+            raise ValueError("give exactly one of S_accum and S_accum_inv")
+        curvature = "S_accum" if self.S_accum_inv is None else "S_accum_inv"
+        S = np.asarray(getattr(self, curvature), dtype=float)
         V = np.asarray(self.V_accum, dtype=float)
         if S.shape != (d, d) or V.shape != (d, d):
-            raise ValueError("accumulators must be d x d matrices")
+            raise ValueError(f"{curvature} and V_accum must be d x d matrices")
         if self.t < 0:
             raise ValueError("update counter must be nonnegative")
         for name in ("gamma1", "alpha", "ridge"):
             _check_setting(name, getattr(self, name))
         object.__setattr__(self, "theta_hat", theta_hat)
         object.__setattr__(self, "theta_bar", theta_bar)
-        object.__setattr__(self, "S_accum", S)
+        object.__setattr__(self, curvature, S)
         object.__setattr__(self, "V_accum", V)
-        if self.S_accum_inv is not None:
-            W = np.asarray(self.S_accum_inv, dtype=float)
-            if W.shape != (d, d):
-                raise ValueError("S_accum_inv must be a d x d matrix")
-            object.__setattr__(self, "S_accum_inv", W)
 
     @classmethod
     def init(
@@ -130,6 +133,18 @@ class EstimatorState:
         return self.theta_hat.size
 
 
+def _advance(state: EstimatorState, **changes) -> EstimatorState:
+    """``replace(state, **changes)`` without rerunning the constructor's checks.
+
+    For the estimator's own steps, which start from a checked state and
+    set fields to arrays of the shapes they replace; every other caller
+    builds a state through the constructor or ``init``.
+    """
+    new = object.__new__(EstimatorState)
+    new.__dict__.update(state.__dict__, **changes)
+    return new
+
+
 @dataclass(frozen=True)
 class ConfidenceWidths:
     """Per-arm estimated utilities and exploration bonuses for one round.
@@ -148,25 +163,29 @@ def sgd_update(state: EstimatorState, obs: Observation) -> EstimatorState:
 
     The step uses the gradient at the current iterate; the accumulators
     are evaluated at the new running average, matching their plug-in
-    definitions.  A carried ``S_accum_inv`` is moved to the new
-    ``S_accum`` by one Woodbury step (see ``_woodbury_step``).
+    definitions.  A fresh state adds ``hessian_loglik`` to ``S_accum``
+    (three stage passes in all).  A carried state takes the gradient
+    and the Hessian's factors from one stage pass at the average and
+    moves ``S_accum_inv`` by one Woodbury step (see ``_woodbury_step``):
+    two stage passes, and no d x d Hessian is formed.
     """
     t_new = state.t + 1
     step = state.gamma1 * t_new ** (-state.alpha)
     theta_hat = state.theta_hat + step * grad_loglik(state.theta_hat, obs)
     theta_bar = ((t_new - 1) * state.theta_bar + theta_hat) / t_new
-    g = grad_loglik(theta_bar, obs)
-    S_accum_inv = state.S_accum_inv
-    if S_accum_inv is not None:
-        S_accum_inv = _woodbury_step(S_accum_inv, *_hessian_factors(theta_bar, obs))
-    return replace(
+    if state.S_accum_inv is None:
+        g = grad_loglik(theta_bar, obs)
+        curvature = {"S_accum": state.S_accum + hessian_loglik(theta_bar, obs)}
+    else:
+        g, F, C = _grad_and_factors(theta_bar, obs)
+        curvature = {"S_accum_inv": _woodbury_step(state.S_accum_inv, F, C)}
+    return _advance(
         state,
         theta_hat=theta_hat,
         theta_bar=theta_bar,
         t=t_new,
-        S_accum=state.S_accum + hessian_loglik(theta_bar, obs),
         V_accum=state.V_accum + np.outer(g, g),
-        S_accum_inv=S_accum_inv,
+        **curvature,
     )
 
 
@@ -183,27 +202,63 @@ def _woodbury_step(W: np.ndarray, F: np.ndarray, C: np.ndarray) -> np.ndarray:
     WF = W @ F
     core = np.linalg.solve(np.eye(C.shape[0]) + C @ (F.T @ WF), C)
     W = W - WF @ core @ WF.T
-    return (W + W.T) / 2.0
+    # (W + W.T) / 2 from a contiguous copy of the transpose: the same
+    # bits, without the strided sum (11 against 16 us at d=80).
+    sym = W.T.copy()
+    sym += W
+    sym *= 0.5
+    return sym
 
 
-def _ridge_test_passes(S: np.ndarray, ridge: float) -> bool:
-    """True when ``-S - ridge * I`` has a Cholesky factor (no ridge shift)."""
+def _has_cholesky(A: np.ndarray) -> bool:
+    """True when ``A`` has a Cholesky factor, that is, is positive definite."""
     try:
-        np.linalg.cholesky(-S - ridge * np.eye(S.shape[0]))
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
 def _attach_inverse(state: EstimatorState) -> EstimatorState:
-    """``state`` carrying ``inv(S_accum)`` once the ridge test passes, else unchanged.
+    """``state`` in the carried form once the ridge test passes, else unchanged.
 
     From then on ``S_accum`` is negative definite and stays so, since
     every update adds a negative semi-definite Hessian.
     """
-    if not _ridge_test_passes(state.S_accum / state.t, state.ridge):
+    S = state.S_accum / state.t
+    if not _has_cholesky(-S - state.ridge * np.eye(state.d)):
         return state
-    return replace(state, S_accum_inv=np.linalg.inv(state.S_accum))
+    return _advance(state, S_accum=None, S_accum_inv=np.linalg.inv(state.S_accum))
+
+
+def _update_count(state: EstimatorState) -> int:
+    """``state.t``, which must be >= 1: before the first update there is no curvature."""
+    if state.t < 1:
+        raise RuntimeError("covariance is undefined before the first update")
+    return state.t
+
+
+def _carried_factor(state: EstimatorState) -> np.ndarray:
+    """M with ``Sigma = M V_accum M`` for a carried state, W = ``S_accum_inv``.
+
+    The ridge rule of ``covariance`` restated on W.  With ``S = S_accum / t
+    = (t W)^-1`` negative definite, ``-S - ridge * I`` is positive
+    definite exactly when ``I + t * ridge * W`` is.  The test is skipped
+    when ``||W||_F * t * ridge < 1``: the Frobenius norm bounds the
+    spectral radius, so every eigenvalue magnitude of S exceeds ``ridge``
+    and the test would pass.  A passing test gives M = W.  A failing one
+    gives the shifted inverse ``(S - ridge * I)^-1 / t``, which is
+    ``inv(I - t * ridge * W) W``: one ``inv``, as the fresh path spends.
+    The bound skipped the test on every carried round of 1,200-round
+    synthetic runs at d=80, where ``||W||_F * t * ridge`` settles near 1e-4.
+    """
+    t = _update_count(state)
+    W = state.S_accum_inv
+    if np.linalg.norm(W) * t * state.ridge < 1.0 or _has_cholesky(
+        np.eye(state.d) + t * state.ridge * W
+    ):
+        return W
+    return np.linalg.inv(np.eye(state.d) - t * state.ridge * W) @ W
 
 
 def covariance(state: EstimatorState) -> np.ndarray:
@@ -219,29 +274,18 @@ def covariance(state: EstimatorState) -> np.ndarray:
     result is symmetrized and positive semi-definite regardless of the
     sign of S because S enters twice.
 
-    Maintained inverse: when the state carries ``W = S_accum_inv``, then
-    ``S^-1 = t W`` and no ``inv`` runs.  The Cholesky test is skipped too
-    when ``||W||_F * t * ridge < 1``: the Frobenius norm bounds the
-    spectral radius, so every eigenvalue magnitude of S exceeds ``ridge``
-    and the test would pass.  Otherwise the test runs as above, and a
-    failing test falls back to a fresh ``inv`` of the shifted S.  At
-    d=80 this is 41 us against 240 us for the fresh path (``inv`` alone
-    144 us, the Cholesky test 42 us; one BLAS thread), and the bound
-    skipped the test on every carried round of 1,200-round synthetic
-    runs at d=80, where ``||W||_F * t * ridge`` settles near 1e-4.
+    A carried state (``S_accum_inv = W``) applies the same rule to W
+    (see ``_carried_factor``) and returns ``M V_accum M``, which is
+    ``t^-1 (t W) (V_accum / t) (t W)`` when the test passes; no ``inv``
+    runs then.
     """
-    if state.t < 1:
-        raise RuntimeError("covariance is undefined before the first update")
-    t = state.t
-    W = state.S_accum_inv
-    if W is not None and (
-        np.linalg.norm(W) * t * state.ridge < 1.0
-        or _ridge_test_passes(state.S_accum / t, state.ridge)
-    ):
-        sigma = W @ state.V_accum @ W  # = t^-1 (t W) (V_accum / t) (t W)
+    if state.S_accum_inv is not None:
+        M = _carried_factor(state)
+        sigma = M @ state.V_accum @ M
     else:
+        t = _update_count(state)
         S = state.S_accum / t
-        if W is not None or not _ridge_test_passes(S, state.ridge):
+        if not _has_cholesky(-S - state.ridge * np.eye(state.d)):
             S = S - state.ridge * np.eye(state.d)
         S_inv = np.linalg.inv(S)
         sigma = S_inv @ (state.V_accum / t) @ S_inv / t
@@ -260,16 +304,25 @@ def confidence_widths(
 
     where ``I_i`` is the operator norm of the rank-one matrix
     ``Sigma^(1/2) [exp(2 x.theta_bar) x x^T] Sigma^(1/2)`` in closed
-    form; the square root of Sigma is never materialized.
+    form; the square root of Sigma is never materialized.  A fresh state
+    takes Sigma from ``covariance``.  A carried state never forms the
+    d x d Sigma: with ``Sigma = M V_accum M`` (see ``_carried_factor``)
+    and ``Y = M X``, the quadratic forms are the column sums of
+    ``(V_accum Y) * Y``.
     """
     _check_setting("omega", omega)
     X = context.features
+    logits = _check_theta(state.theta_bar, context.d) @ X
     with np.errstate(over="ignore"):  # overflow becomes an explicit error below
-        sigma = covariance(state)  # raises before the first update
-        utilities = np.exp(_check_theta(state.theta_bar, context.d) @ X)
+        # Both branches raise before the first update.
+        if state.S_accum_inv is None:
+            quad = ((covariance(state) @ X) * X).sum(axis=0)
+        else:
+            Y = _carried_factor(state) @ X
+            quad = ((state.V_accum @ Y) * Y).sum(axis=0)
+        utilities = np.exp(logits)
         if not np.all(np.isfinite(utilities)):
             raise OverflowError("estimated utilities overflowed; rescale the features")
-        quad = ((sigma @ X) * X).sum(axis=0)
         quad = np.maximum(quad, 0.0)  # guard tiny negative round-off
         log_t = math.log(state.t)
         bracket = 2.0 * log_t + state.d + 2.0 * math.sqrt(state.d * log_t)

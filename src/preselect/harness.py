@@ -38,6 +38,7 @@ from .environments import (
     AlgoSelectEnvironment,
     SyntheticEnvironment,
     SyntheticScenario,
+    _check_world_size,
     instant_regret,
     load_runtime_table,
     sample_feedback,
@@ -110,9 +111,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown feedback mode {self.feedback!r}")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown output format {self.format!r}")
-        for name in ("T", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+        synthetic = self.environment == "synthetic"
+        _config_rule(_check_world_size, self.T, self.d if synthetic else None)
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
         for name in _SETTING_RULES:
@@ -128,9 +130,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"{name} must be a path string or null, got {value!r}")
-        if self.environment == "synthetic":
-            if self.d < 1:
-                raise ConfigError("d must be >= 1")
+        if synthetic:
             _config_rule(_check_k, self.k, self.n)
         else:
             if self.runtimes is None or self.instance_features is None:

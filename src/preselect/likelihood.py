@@ -122,14 +122,19 @@ def hessian_loglik(theta: np.ndarray, obs: Observation) -> np.ndarray:
     return (hess + hess.T) / 2.0
 
 
-def _hessian_factors(theta: np.ndarray, obs: Observation) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (X, C) with ``hessian_loglik(theta, obs) = X C X^T``.
+def _grad_and_factors(
+    theta: np.ndarray, obs: Observation
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``grad_loglik(theta, obs)`` and the pair (X, C) with Hessian ``X C X^T``, from one stage pass.
 
     X is the d x k block of stage-ordered subset columns and C the k x k
     core ``P^T P - diag(column sums of P)``; C is singular (C 1 = 0), so
-    a low-rank update built on it must not invert it.
+    a low-rank update built on it must not invert it.  The gradient is
+    ``grad_loglik``'s expression on the same terms, so it is bit-identical.
     """
-    feats, _, _, probs = _stage_terms(theta, obs)
+    feats, _, lognorm, probs = _stage_terms(theta, obs)
+    col_sums = probs.sum(axis=0)
+    grad = feats[:, : lognorm.size].sum(axis=1) - feats @ col_sums
     core = probs.T @ probs
-    core[np.diag_indices_from(core)] -= probs.sum(axis=0)
-    return feats, core
+    core.flat[:: core.shape[0] + 1] -= col_sums  # the diagonal, without index arrays
+    return grad, feats, core

@@ -231,11 +231,14 @@ class Policy(ABC):
 
 
 # CPPL carries inv(S_accum) in its state from this dimension on (see
-# ``estimator.covariance``).  Below it a Woodbury step costs more numpy
+# ``estimator.EstimatorState``).  Below it a Woodbury step costs more numpy
 # calls than the fresh ``inv`` it saves.  Measured CPU per round, carried
 # inverse / fresh inv (synthetic n=20, k=5, winner, one BLAS thread):
 # 1.15 at d=5, 1.06 at d=24, 1.00 at d=32, 0.97 at d=36, 0.95 at d=40,
-# 0.72 at d=80.
+# 0.72 at d=80.  Those ratios predate the carried state that holds the
+# inverse alone; with it the carried round is also cheaper at d=12-32
+# (0.76-0.89), but the crossover stays until the fresh path's outputs and
+# traced names may move.
 _TRACK_INVERSE_MIN_D = 36
 
 

@@ -23,8 +23,11 @@ from preselect import (
     sample_winner,
     sgd_update,
 )
+from preselect import estimator, likelihood
 from preselect.environments import sample_feedback
+from preselect.estimator import _attach_inverse
 from preselect.harness import _build_environment, _streams
+from preselect.likelihood import hessian_loglik
 
 
 def winner_obs(rng, d, n, k, theta_star=None):
@@ -246,22 +249,28 @@ class TestRidgeRuleReference:
             eig = rng.uniform(0.5, 2.0, size=d)
             eig[: len(smallest)] = np.array(smallest) * RIDGE
             cases.append(((Q * eig) @ Q.T, expected_calls))
+        # The carried state holds W alone; the references read the known
+        # curvature from the fresh state it was built from.
         for curvature, expected_calls in cases:
-            state = nsd_state(rng, d, int(rng.integers(1, 500)), curvature)
-            state = replace(state, S_accum_inv=np.linalg.inv(state.S_accum))
+            known = nsd_state(rng, d, int(rng.integers(1, 500)), curvature)
+            state = replace(known, S_accum=None, S_accum_inv=np.linalg.inv(known.S_accum))
             calls.update(cholesky=0, inv=0)
             sigma = covariance(state)
             assert (calls["cholesky"], calls["inv"]) == expected_calls
-            want = reference_covariance(state, reference_ridged(state))
+            want = reference_covariance(known, reference_ridged(known))
             scale = np.abs(want).max()
             np.testing.assert_allclose(sigma, want, rtol=1e-9, atol=1e-9 * scale)
             X = rng.uniform(size=(d, 7))
             cw = confidence_widths(state, ContextMatrix(X), omega=1.3)
-            np.testing.assert_allclose(cw.widths, reference_widths(state, X, 1.3), rtol=1e-9)
+            np.testing.assert_allclose(cw.widths, reference_widths(known, X, 1.3), rtol=1e-9)
 
 
 class TestCarriedInverse:
-    """CPPL at d=80 carries inv(S_accum) by Woodbury steps; check every round."""
+    """CPPL at d=80 carries inv(S_accum) by Woodbury steps; check every round.
+
+    Once carried, the state holds no ``S_accum``, so the oracle is the sum
+    of the Hessians at each round's average, accumulated here.
+    """
 
     @pytest.mark.parametrize("feedback", ["winner", "ranking"])
     def test_long_run_tracks_inverse_and_ridge_rule(self, feedback):
@@ -270,30 +279,108 @@ class TestCarriedInverse:
         env = _build_environment(config, rep_seed, setup_rng, None)
         policy = CPPLPolicy(config.d, policy_rng)
         eye = np.eye(config.d)
+        S_ref = np.zeros((config.d, config.d))
         carried = 0
         for t in range(1, config.T + 1):
             context, utils = env.round(t)
             policy.observe(context)
             subset = policy.choose(config.k).subset
-            policy.update(sample_feedback(utils, subset, feedback, feedback_rng))
+            feedback_t = sample_feedback(utils, subset, feedback, feedback_rng)
+            policy.update(feedback_t)
             state = policy.state
+            obs = Observation(feedback=feedback_t, subset=subset, context=context)
+            S_ref += hessian_loglik(state.theta_bar, obs)
             try:
-                np.linalg.cholesky(-state.S_accum / t - state.ridge * eye)
+                np.linalg.cholesky(-S_ref / t - state.ridge * eye)
                 ridged = False
             except np.linalg.LinAlgError:
                 ridged = True
             if state.S_accum_inv is not None:
                 carried += 1
-                want = np.linalg.inv(state.S_accum)
+                assert state.S_accum is None
+                want = np.linalg.inv(S_ref)
                 err = np.abs(state.S_accum_inv - want).max()
                 assert err <= 1e-9 * np.abs(want).max(), (t, err)
             else:
                 assert ridged, t  # the inverse is attached once the test passes
-            want = reference_covariance(state, ridged)
+                np.testing.assert_array_equal(state.S_accum, S_ref)
+            known = replace(state, S_accum=S_ref, S_accum_inv=None)
+            want = reference_covariance(known, ridged)
             np.testing.assert_allclose(
                 covariance(state), want, rtol=1e-9, atol=1e-9 * np.abs(want).max()
             )
+            cw = confidence_widths(state, context, policy.omega)
+            np.testing.assert_allclose(
+                cw.widths, reference_widths(known, context.features, policy.omega), rtol=1e-9
+            )
         assert carried > 0.9 * config.T
+
+    def test_state_holds_exactly_one_curvature_form(self, rng):
+        fresh = random_state(rng, 3)
+        W = np.linalg.inv(fresh.S_accum)
+        with pytest.raises(ValueError, match="exactly one of S_accum and S_accum_inv"):
+            replace(fresh, S_accum_inv=W)
+        with pytest.raises(ValueError, match="exactly one of S_accum and S_accum_inv"):
+            replace(fresh, S_accum=None)
+        with pytest.raises(ValueError, match="S_accum_inv and V_accum must be d x d"):
+            replace(fresh, S_accum=None, S_accum_inv=np.eye(4))
+        carried = replace(fresh, S_accum=None, S_accum_inv=W)
+        assert carried.S_accum is None
+        np.testing.assert_allclose(covariance(carried), covariance(fresh), rtol=1e-9)
+
+    def test_carried_update_makes_two_stage_passes_and_no_hessian(self, rng, monkeypatch):
+        d = 6
+        fresh = random_state(rng, d)
+        carried = replace(fresh, S_accum=None, S_accum_inv=np.linalg.inv(fresh.S_accum))
+        obs = winner_obs(rng, d, 8, 4)
+        passes = []
+
+        def counted_stage_terms(*args, _fn=likelihood._stage_terms):
+            passes.append(args[0])
+            return _fn(*args)
+
+        def no_hessian(*args):
+            raise AssertionError("a carried update formed a Hessian")
+
+        monkeypatch.setattr(likelihood, "_stage_terms", counted_stage_terms)
+        monkeypatch.setattr(estimator, "hessian_loglik", no_hessian)
+        new = sgd_update(carried, obs)
+        assert len(passes) == 2
+        np.testing.assert_array_equal(passes[0], carried.theta_hat)
+        np.testing.assert_array_equal(passes[1], new.theta_bar)
+        assert new.S_accum is None and new.S_accum_inv is not None
+
+    def test_carried_widths_form_no_covariance(self, rng, monkeypatch):
+        d = 6
+        fresh = random_state(rng, d)
+        carried = replace(fresh, S_accum=None, S_accum_inv=np.linalg.inv(fresh.S_accum))
+        context = ContextMatrix(rng.uniform(size=(d, 9)))
+        want = confidence_widths(fresh, context, omega=1.0)
+
+        def no_covariance(state):
+            raise AssertionError("carried widths formed the d x d covariance")
+
+        monkeypatch.setattr(estimator, "covariance", no_covariance)
+        cw = confidence_widths(carried, context, omega=1.0)
+        np.testing.assert_array_equal(cw.utilities, want.utilities)
+        np.testing.assert_allclose(cw.widths, want.widths, rtol=1e-9)
+
+    def test_internal_steps_do_not_revalidate(self, monkeypatch):
+        # Every check runs where a state is built from outside; the
+        # estimator's own steps advance a checked state without them.
+        rng = np.random.default_rng(3)
+        state = EstimatorState.init(4, rng)
+        observations = [winner_obs(rng, 4, 6, 3) for _ in range(8)]
+        checks = []
+        original = EstimatorState.__post_init__
+        monkeypatch.setattr(EstimatorState, "__post_init__",
+                            lambda self: checks.append(1) or original(self))
+        for obs in observations:
+            state = sgd_update(state, obs)
+        state = _attach_inverse(state)
+        assert state.S_accum_inv is not None
+        state = sgd_update(state, observations[0])
+        assert checks == []
 
 
 class TestCovariance:

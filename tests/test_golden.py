@@ -9,12 +9,12 @@ itself.
 The hashes hold for Python 3.11 with numpy 2.4 on OpenBLAS 0.3.31
 (scipy-openblas, x86_64 Haswell kernels).  Another numpy or BLAS may
 round differently and fail these tests without any fault in the code.
-A change that is allowed to move numbers (ROADMAP item 5, the MM refit)
+A change that is allowed to move numbers (ROADMAP item 7, the MM refit)
 re-pins them and says so in CHANGES.md.
 
-One more config pins the carried-inverse (Woodbury) path of
-``estimator.covariance``: cppl winner at d=40, at or above the dimension
-from which ``CPPLPolicy`` carries ``inv(S_accum)``.
+Two more configs pin the carried-inverse (Woodbury) path of
+``estimator``: cppl with winner and with ranking feedback at d=40, at or
+above the dimension from which ``CPPLPolicy`` carries ``inv(S_accum)``.
 """
 
 import hashlib
@@ -42,14 +42,25 @@ def test_regret_csv_matches_golden_hash(tmp_path, policy, feedback):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[policy, feedback]
 
 
-CARRIED_INVERSE = "d241ef558d62eb814c763d71981745c17aac311d332ee1a40ae6f7c39853ea5b"
+CARRIED_INVERSE = {
+    "winner": "d241ef558d62eb814c763d71981745c17aac311d332ee1a40ae6f7c39853ea5b",
+    "ranking": "3a9dff9040036c1f61f412cfcf9ad56b9564efb8664bd7aa7f5f9e34498c6ebb",
+}
 
 
-def test_carried_inverse_regret_csv_matches_golden_hash(tmp_path):
+def _carried_inverse_hash(tmp_path, feedback):
     assert 40 >= _TRACK_INVERSE_MIN_D  # else this config no longer reaches the path
     config = ExperimentConfig(
-        policy="cppl", feedback="winner", n=20, d=40, k=5, T=300, reps=2, seed=0
+        policy="cppl", feedback=feedback, n=20, d=40, k=5, T=300, reps=2, seed=0
     )
     path = tmp_path / "regret.csv"
     emit_results(run_experiment(config), path, "csv")
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == CARRIED_INVERSE
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_carried_inverse_regret_csv_matches_golden_hash(tmp_path):
+    assert _carried_inverse_hash(tmp_path, "winner") == CARRIED_INVERSE["winner"]
+
+
+def test_carried_inverse_ranking_regret_csv_matches_golden_hash(tmp_path):
+    assert _carried_inverse_hash(tmp_path, "ranking") == CARRIED_INVERSE["ranking"]

@@ -23,6 +23,7 @@ from preselect import (
     ExperimentConfig,
     RuntimeTable,
     Policy,
+    SyntheticScenario,
     PolicyDecision,
     contextual_utilities,
     emit_results,
@@ -136,6 +137,21 @@ class TestConfig:
     def test_algoselect_requires_paths(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(environment="algoselect")
+
+    @pytest.mark.parametrize("d, T", [(0, 5), (3, -1)])
+    def test_config_and_scenario_apply_the_same_world_size_rule(self, d, T):
+        with pytest.raises(ValueError) as built:
+            SyntheticScenario(n=6, d=d, k=2, T=T, theta_star=np.full(d, 0.5), seed=0)
+        assert not isinstance(built.value, ConfigError)
+        with pytest.raises(ConfigError) as configured:
+            ExperimentConfig(n=6, d=d, k=2, T=T)
+        assert str(configured.value) == str(built.value)
+
+    def test_algoselect_checks_T_but_not_the_unused_d(self):
+        paths = dict(environment="algoselect", runtimes="rt.csv", instance_features="fi.csv")
+        ExperimentConfig(d=0, **paths)
+        with pytest.raises(ConfigError, match="^T must be nonnegative$"):
+            ExperimentConfig(T=-1, **paths)
 
     @pytest.mark.parametrize("field, value", [
         ("out", 5), ("out", None), ("runtimes", 0), ("instance_features", ["fi.csv"]),
