@@ -82,8 +82,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 values = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
         if not isinstance(values, dict):

@@ -320,13 +320,15 @@ class AlgoSelectEnvironment:
 
 def _read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Header and nonblank rows (at least one) of a CSV file, each row with its 1-based line."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = [(reader.line_num, row) for row in reader if row]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = [(reader.line_num, row) for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return header, rows

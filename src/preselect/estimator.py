@@ -9,8 +9,8 @@ iterates we accumulate plug-in curvature and score statistics
     V_accum = sum_i  grad loglik(theta_bar_i | obs_i) grad(...)^T
 
 from which a sandwich covariance estimate for ``theta_bar`` is formed.
-At large d the state may hold ``inv(S_accum)`` in place of ``S_accum``
-(see ``EstimatorState``).
+Once the warm-up ends, a CPPL run with omega > 0 holds ``inv(S_accum)``
+in place of ``S_accum`` (see ``EstimatorState``).
 Per-arm confidence widths follow from the covariance through a rank-one
 operator-norm identity; together with the estimated utilities they give
 upper confidence bounds used for subset selection.
@@ -61,11 +61,10 @@ class EstimatorState:
     ``S_accum`` by a Woodbury step on the new Hessian ``F C F^T``
     (O(d^2 k), against O(d^3) for ``inv``), and ``covariance`` and
     ``confidence_widths`` read W alone, so neither runs an ``inv`` and
-    no ``S_accum`` is kept beside it.  ``CPPLPolicy`` switches to the
-    carried form, with one ``inv``, once the ridge test first passes,
-    and only for omega > 0 and d at or above a crossover
-    (``policies._TRACK_INVERSE_MIN_D``): at small d the step's numpy
-    calls cost more than the ``inv`` they save.  Over 1,200 rounds at
+    no ``S_accum`` is kept beside it.  ``CPPLPolicy`` with omega > 0
+    switches to the carried form, with one ``inv``, once the ridge test
+    first passes, at every d; the warm-up rounds before it, omega = 0
+    policies and states built by hand stay fresh.  Over 1,200 rounds at
     d=80 the carried W stayed within 1.3e-12 of ``inv(S_accum)``,
     relative.
     """
@@ -163,11 +162,12 @@ def sgd_update(state: EstimatorState, obs: Observation) -> EstimatorState:
 
     The step uses the gradient at the current iterate; the accumulators
     are evaluated at the new running average, matching their plug-in
-    definitions.  A fresh state adds ``hessian_loglik`` to ``S_accum``
-    (three stage passes in all).  A carried state takes the gradient
-    and the Hessian's factors from one stage pass at the average and
-    moves ``S_accum_inv`` by one Woodbury step (see ``_woodbury_step``):
-    two stage passes, and no d x d Hessian is formed.
+    definitions.  A fresh state (warm-up rounds, omega = 0 policies) adds
+    ``hessian_loglik`` to ``S_accum``: three stage passes.  A carried
+    state (every later CPPL round) takes the gradient and the Hessian's
+    factors from one stage pass at the average and moves ``S_accum_inv``
+    by one Woodbury step (see ``_woodbury_step``): two stage passes, and
+    no d x d Hessian is formed.
     """
     t_new = state.t + 1
     step = state.gamma1 * t_new ** (-state.alpha)
@@ -219,14 +219,18 @@ def _has_cholesky(A: np.ndarray) -> bool:
     return True
 
 
+def _passes_ridge_test(S: np.ndarray, ridge: float) -> bool:
+    """The ridge rule's test on ``S = S_accum / t``: is ``-S - ridge * I`` positive definite?"""
+    return _has_cholesky(-S - ridge * np.eye(S.shape[0]))
+
+
 def _attach_inverse(state: EstimatorState) -> EstimatorState:
     """``state`` in the carried form once the ridge test passes, else unchanged.
 
     From then on ``S_accum`` is negative definite and stays so, since
     every update adds a negative semi-definite Hessian.
     """
-    S = state.S_accum / state.t
-    if not _has_cholesky(-S - state.ridge * np.eye(state.d)):
+    if not _passes_ridge_test(state.S_accum / state.t, state.ridge):
         return state
     return _advance(state, S_accum=None, S_accum_inv=np.linalg.inv(state.S_accum))
 
@@ -285,7 +289,7 @@ def covariance(state: EstimatorState) -> np.ndarray:
     else:
         t = _update_count(state)
         S = state.S_accum / t
-        if not _has_cholesky(-S - state.ridge * np.eye(state.d)):
+        if not _passes_ridge_test(S, state.ridge):
             S = S - state.ridge * np.eye(state.d)
         S_inv = np.linalg.inv(S)
         sigma = S_inv @ (state.V_accum / t) @ S_inv / t

@@ -108,10 +108,15 @@ def loglik(theta: np.ndarray, obs: Observation) -> float:
     return float(logits[: lognorm.size].sum() - lognorm.sum())
 
 
+def _grad(feats: np.ndarray, m: int, col_sums: np.ndarray) -> np.ndarray:
+    """The gradient from a stage pass with m stages: ``sum_i x_(i) - X colsums(P)``."""
+    return feats[:, :m].sum(axis=1) - feats @ col_sums
+
+
 def grad_loglik(theta: np.ndarray, obs: Observation) -> np.ndarray:
     """Gradient of the log-likelihood with respect to ``theta``."""
     feats, _, lognorm, probs = _stage_terms(theta, obs)
-    return feats[:, : lognorm.size].sum(axis=1) - feats @ probs.sum(axis=0)
+    return _grad(feats, lognorm.size, probs.sum(axis=0))
 
 
 def hessian_loglik(theta: np.ndarray, obs: Observation) -> np.ndarray:
@@ -130,11 +135,10 @@ def _grad_and_factors(
     X is the d x k block of stage-ordered subset columns and C the k x k
     core ``P^T P - diag(column sums of P)``; C is singular (C 1 = 0), so
     a low-rank update built on it must not invert it.  The gradient is
-    ``grad_loglik``'s expression on the same terms, so it is bit-identical.
+    ``grad_loglik``'s ``_grad`` on the same terms, so it is bit-identical.
     """
     feats, _, lognorm, probs = _stage_terms(theta, obs)
     col_sums = probs.sum(axis=0)
-    grad = feats[:, : lognorm.size].sum(axis=1) - feats @ col_sums
     core = probs.T @ probs
     core.flat[:: core.shape[0] + 1] -= col_sums  # the diagonal, without index arrays
-    return grad, feats, core
+    return _grad(feats, lognorm.size, col_sums), feats, core

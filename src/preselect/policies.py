@@ -230,18 +230,6 @@ class Policy(ABC):
     def _update(self, obs: Observation) -> None: ...
 
 
-# CPPL carries inv(S_accum) in its state from this dimension on (see
-# ``estimator.EstimatorState``).  Below it a Woodbury step costs more numpy
-# calls than the fresh ``inv`` it saves.  Measured CPU per round, carried
-# inverse / fresh inv (synthetic n=20, k=5, winner, one BLAS thread):
-# 1.15 at d=5, 1.06 at d=24, 1.00 at d=32, 0.97 at d=36, 0.95 at d=40,
-# 0.72 at d=80.  Those ratios predate the carried state that holds the
-# inverse alone; with it the carried round is also cheaper at d=12-32
-# (0.76-0.89), but the crossover stays until the fresh path's outputs and
-# traced names may move.
-_TRACK_INVERSE_MIN_D = 36
-
-
 class CPPLPolicy(Policy):
     """Upper-confidence subset selection with averaged-SGD estimation."""
 
@@ -258,15 +246,14 @@ class CPPLPolicy(Policy):
         _check_setting("omega", omega)
         self.omega = omega
         self.state = EstimatorState.init(d, rng, gamma1=gamma1, alpha=alpha, ridge=ridge)
-        # Only widths read the covariance, so only omega > 0 keeps the inverse.
-        self._track_inverse = omega > 0 and d >= _TRACK_INVERSE_MIN_D
 
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
         return cppl_choose(self.state, context, k, self.omega)
 
     def _update(self, obs: Observation) -> None:
         self.state = sgd_update(self.state, obs)
-        if self._track_inverse and self.state.S_accum_inv is None:
+        # Only widths read the covariance, so only omega > 0 carries the inverse.
+        if self.omega > 0 and self.state.S_accum_inv is None:
             self.state = _attach_inverse(self.state)
 
 

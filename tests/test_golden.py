@@ -12,9 +12,10 @@ round differently and fail these tests without any fault in the code.
 A change that is allowed to move numbers (ROADMAP item 7, the MM refit)
 re-pins them and says so in CHANGES.md.
 
-Two more configs pin the carried-inverse (Woodbury) path of
-``estimator``: cppl with winner and with ranking feedback at d=40, at or
-above the dimension from which ``CPPLPolicy`` carries ``inv(S_accum)``.
+Three more configs pin the carried-inverse (Woodbury) path of
+``estimator``, which every cppl run takes once its warm-up ends: cppl
+with winner and with ranking feedback at d=40, and with winner feedback
+at d=12.
 """
 
 import hashlib
@@ -22,7 +23,6 @@ import hashlib
 import pytest
 
 from preselect import ExperimentConfig, emit_results, run_experiment
-from preselect.policies import _TRACK_INVERSE_MIN_D
 
 GOLDEN = {
     ("cppl", "winner"): "b82397c428349debb569c33a62145e29b6523ff882128f31d5e6d5380f178c46",
@@ -46,12 +46,12 @@ CARRIED_INVERSE = {
     "winner": "d241ef558d62eb814c763d71981745c17aac311d332ee1a40ae6f7c39853ea5b",
     "ranking": "3a9dff9040036c1f61f412cfcf9ad56b9564efb8664bd7aa7f5f9e34498c6ebb",
 }
+CARRIED_INVERSE_D12_WINNER = "d7af999c2cceb0b1fdd93a19361cd2f670a7c9e412bf986a9a74073bbc5234ce"
 
 
-def _carried_inverse_hash(tmp_path, feedback):
-    assert 40 >= _TRACK_INVERSE_MIN_D  # else this config no longer reaches the path
+def _carried_inverse_hash(tmp_path, feedback, d=40):
     config = ExperimentConfig(
-        policy="cppl", feedback=feedback, n=20, d=40, k=5, T=300, reps=2, seed=0
+        policy="cppl", feedback=feedback, n=20, d=d, k=5, T=300, reps=2, seed=0
     )
     path = tmp_path / "regret.csv"
     emit_results(run_experiment(config), path, "csv")
@@ -64,3 +64,7 @@ def test_carried_inverse_regret_csv_matches_golden_hash(tmp_path):
 
 def test_carried_inverse_ranking_regret_csv_matches_golden_hash(tmp_path):
     assert _carried_inverse_hash(tmp_path, "ranking") == CARRIED_INVERSE["ranking"]
+
+
+def test_carried_inverse_d12_regret_csv_matches_golden_hash(tmp_path):
+    assert _carried_inverse_hash(tmp_path, "winner", d=12) == CARRIED_INVERSE_D12_WINNER

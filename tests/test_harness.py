@@ -448,6 +448,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(cfg) in err and "expected a JSON object" in err
 
+    @pytest.mark.parametrize("flag", [
+        "--config", "--runtimes", "--instance-features", "--solver-features",
+    ])
+    def test_non_utf8_input_file_is_named_before_round_one(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        calls = []
+        real = preselect.harness.run_repetition
+        monkeypatch.setattr(preselect.harness, "run_repetition",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        (tmp_path / "rt.csv").write_text("instance_id,solver_0,solver_1\ni0,0.1,0.2\n")
+        (tmp_path / "fi.csv").write_text("instance_id,f0\ni0,0.5\n")
+        (tmp_path / "sf.csv").write_text("alpha,rho,ps,wp\n1,0.5,0.2,0.1\n1.5,0.6,0.3,0.2\n")
+        (tmp_path / "cfg.json").write_text('{"T": 1, "reps": 1}')
+        paths = {"--config": "cfg.json", "--runtimes": "rt.csv",
+                 "--instance-features": "fi.csv", "--solver-features": "sf.csv"}
+        bad = tmp_path / paths[flag]
+        bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+        argv = ["algoselect", "--k", "1", "--out", str(tmp_path / "x.csv")]
+        for name, file in paths.items():
+            argv += [name, str(tmp_path / file)]
+        assert cli_main(argv) == 1
+        assert f"configuration error: {bad}: not UTF-8 text" in capsys.readouterr().err
+        assert calls == []
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             cli_main(["synthetic", "--bogus", "1"])

@@ -19,6 +19,7 @@ from preselect import (
     prob_partial_ranking,
     prob_top_rank,
 )
+from preselect.likelihood import _grad_and_factors
 from preselect.selfcheck import fd_gradient, fd_hessian, random_observation
 
 
@@ -237,3 +238,22 @@ class TestHessian:
             hess = hessian_loglik(rng.uniform(size=d), obs)
             assert np.max(np.abs(hess - hess.T)) < 1e-12
             assert np.linalg.eigvalsh(hess).max() <= 1e-10
+
+
+class TestFusedGradientAndFactors:
+    """``_grad_and_factors``, the carried estimator path's one stage pass."""
+
+    @pytest.mark.parametrize("mode", ["winner", "ranking"])
+    def test_matches_grad_and_hessian(self, mode):
+        rng = np.random.default_rng(505)
+        for _ in range(50):
+            d = int(rng.integers(2, 9))
+            size = int(rng.integers(1, 6))
+            obs = random_observation(rng, d, size + 2, size, mode)
+            theta = rng.normal(size=d)
+            grad, F, C = _grad_and_factors(theta, obs)
+            assert np.array_equal(grad, grad_loglik(theta, obs))
+            # Relative to the whole matrix: a single small entry can lose
+            # more digits to cancellation in either expression.
+            hess = hessian_loglik(theta, obs)
+            assert np.linalg.norm(F @ C @ F.T - hess) <= 1e-12 * np.linalg.norm(hess)

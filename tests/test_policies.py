@@ -25,7 +25,7 @@ from preselect import (
     run_repetition,
     sample_winner,
 )
-from preselect import policies
+from preselect import harness, policies
 from preselect.harness import _build_environment, _build_policy, _streams
 from preselect.policies import top_k_subset
 from preselect.selfcheck import exhaustive_top_k, random_state, top_k_errors
@@ -386,12 +386,11 @@ class TestCPPLPolicy:
         with pytest.raises(ValueError, match="omega"):
             CPPLPolicy(3, rng, omega=omega)
 
-    @pytest.mark.parametrize("d", [5, 80])
-    def test_carries_inverse_only_above_crossover(self, d):
+    @pytest.mark.parametrize("d", [5, 12, 80])
+    def test_only_omega_positive_carries_the_inverse(self, d):
         config = ExperimentConfig(n=20, d=d, k=5, T=40, reps=1, seed=2)
-        carries = d >= policies._TRACK_INVERSE_MIN_D
         for make, expected in (
-            (lambda rng: CPPLPolicy(d, rng), carries),
+            (lambda rng: CPPLPolicy(d, rng), True),
             (lambda rng: CPPLPolicy(d, rng, omega=0.0), False),
             (lambda rng: EpsilonGreedyPolicy(d, rng), False),
         ):
@@ -399,17 +398,19 @@ class TestCPPLPolicy:
             run_repetition(config, 0, policy=policy)
             assert (policy.state.S_accum_inv is not None) == expected
 
-    # One run below the crossover (fresh inv by default) and one above it
-    # (carried inverse by default); moving the crossover must not change
-    # a single choice.
-    @pytest.mark.parametrize("d", [5, 80])
+    # The reference never attaches the inverse, so it runs the fresh path
+    # in every round; carrying it must not change a single choice.
+    @pytest.mark.parametrize("d", [5, 12, 80])
     @pytest.mark.parametrize("feedback", ["winner", "ranking"])
     def test_both_inverse_paths_give_the_same_regret(self, d, feedback, monkeypatch):
         config = ExperimentConfig(n=20, d=d, k=5, T=200, reps=1, seed=8, feedback=feedback)
         default = run_repetition(config, 0)
-        flipped = 10**9 if d >= policies._TRACK_INVERSE_MIN_D else 1
-        monkeypatch.setattr(policies, "_TRACK_INVERSE_MIN_D", flipped)
+        built = []
+        monkeypatch.setattr(policies, "_attach_inverse", lambda state: state)
+        monkeypatch.setattr(harness, "_build_policy",
+                            lambda *args: built.append(_build_policy(*args)) or built[-1])
         np.testing.assert_array_equal(run_repetition(config, 0), default)
+        assert built[0].state.S_accum_inv is None
 
     def test_confidence_bounds_cover_every_arm(self):
         """Every arm's bound holds: ``|v_hat_i - v_i| <= c_i``.
