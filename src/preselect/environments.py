@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -158,6 +159,16 @@ class RuntimeTable:
     def num_solvers(self) -> int:
         return self.runtimes.shape[1]
 
+    @cached_property
+    def _preprocessed(self) -> tuple["RuntimeTable", list[int]]:
+        """This table with preprocessed instance features, and the kept columns.
+
+        Computed on first use and kept with the table, so the repetitions
+        of an experiment, which share one loaded table, fit it once.
+        """
+        reduced, kept = preprocess_features(self.instance_features)
+        return replace(self, instance_features=reduced), kept
+
 
 def preprocess_features(raw: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Scale, variance-filter, and decorrelate a feature matrix.
@@ -279,21 +290,19 @@ class SyntheticEnvironment:
 class AlgoSelectEnvironment:
     """Algorithm-selection world over a runtime table.
 
-    Instance features are preprocessed once up front; the instance order
-    is a fresh shuffle (without replacement) from ``rng``.  A table that
-    preprocessing cannot use (one row, or no column left) is a
-    ``ValueError``.
+    Instance features are preprocessed once per table, however many
+    environments share it; the instance order is a fresh shuffle (without
+    replacement) from ``rng``.  A table that preprocessing cannot use
+    (one row, or no column left) is a ``ValueError``.
     """
 
     def __init__(self, table: RuntimeTable, lam: float, rng: np.random.Generator):
         _check_setting("lam", lam)
-        reduced, kept = preprocess_features(table.instance_features)
-        if not kept:
+        self.table, self.kept_columns = table._preprocessed
+        if not self.kept_columns:
             raise ValueError(
                 f"no instance-feature column has variance >= {VARIANCE_THRESHOLD} after scaling"
             )
-        self.table = replace(table, instance_features=reduced)
-        self.kept_columns = kept
         self.lam = lam
         self.order = rng.permutation(table.num_instances)
 

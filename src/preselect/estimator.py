@@ -132,14 +132,15 @@ class EstimatorState:
         return self.theta_hat.size
 
 
-def _advance(state: EstimatorState, **changes) -> EstimatorState:
+def _advance(state, **changes):
     """``replace(state, **changes)`` without rerunning the constructor's checks.
 
-    For the estimator's own steps, which start from a checked state and
-    set fields to arrays of the shapes they replace; every other caller
-    builds a state through the constructor or ``init``.
+    For the internal steps of the estimator and of MM (``EstimatorState``
+    and ``policies.MMState``), which start from a checked state and set
+    fields to values of the kinds they replace; every other caller builds
+    a state through the constructor (or ``init`` / ``uniform``).
     """
-    new = object.__new__(EstimatorState)
+    new = object.__new__(type(state))
     new.__dict__.update(state.__dict__, **changes)
     return new
 

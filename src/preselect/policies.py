@@ -17,21 +17,31 @@ Policies:
   it scores by estimated utility alone.
 * ``EpsilonGreedyPolicy`` plays Max-Theta's choice, but with probability
   epsilon picks a uniformly random k-subset.
-* ``MMPolicy`` is context-free: it keeps per-arm stage wins and the
-  multiplicity of each remaining-set seen, refits plain PL weights to
-  them with a minorization-maximization iteration, and greedily plays
-  the top-k arms by weight.
+* ``MMPolicy`` is context-free: it keeps per-arm stage wins, the
+  multiplicity of each remaining-set seen and who has beaten whom,
+  refits plain PL weights to them with a minorization-maximization
+  iteration, and greedily plays the top-k arms by weight.  Arms beaten
+  by arms they never beat back sit at a floor weight in closed form;
+  only the rest are swept.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import EstimatorState, _attach_inverse, confidence_widths, sgd_update
+from .estimator import (
+    EstimatorState,
+    _advance,
+    _attach_inverse,
+    confidence_widths,
+    sgd_update,
+)
 from .likelihood import Feedback, Observation, WinnerFeedback, _check_feedback
 from .plackett_luce import ContextMatrix, _check_k, _check_setting, _check_subset
 
@@ -91,7 +101,8 @@ def cppl_choose(
 # Context-free MM baseline
 # ---------------------------------------------------------------------------
 
-_WEIGHT_FLOOR = 1e-12  # keeps never-winning arms strictly positive
+_WEIGHT_FLOOR = 1e-12  # the weight of every dominated arm
+_MAX_SWEEPS, _TOL = 100, 1e-8  # mm_fit's defaults, which MMPolicy refits with
 
 
 @dataclass(frozen=True)
@@ -101,31 +112,52 @@ class MMState:
     An observation is a sequence of choice stages (remaining arms, stage
     winner): a winner observation is one stage over the chosen subset, a
     ranking of m arms is m - 1 stages over the shrinking remainder.  The
-    MM update needs only ``wins`` (stages won by each arm) and
-    ``set_counts`` (stages per distinct remaining-set, keyed by its sorted
-    tuple).  ``observations`` counts recorded rounds.  ``weights`` are
-    normalized to sum 1.  The arms in no stage are those in no key of
-    ``set_counts``; ``mm_fit`` holds their weights at the uniform prior
-    1/n (up to renormalization).
+    MM update needs ``wins`` (stages won by each arm), ``set_counts``
+    (stages per distinct remaining-set, keyed by its sorted tuple) and
+    ``reach``, the reflexive transitive closure of the comparison graph,
+    in which i -> j when i won a stage in which j remained:
+    ``reach[i, j]`` says that some chain of such wins leads from i to j.
+    ``observations`` counts recorded rounds.  ``weights`` are normalized
+    to sum 1.
+
+    ``mm_fit`` splits the arms by ``reach``.  An arm is *dominated* when
+    some arm reaches it that it does not reach back; the likelihood
+    rises as its weight falls, with no maximum (Hunter 2004, Assumption
+    1), so it sits at ``_WEIGHT_FLOOR``.  The arms in no key of
+    ``set_counts`` are *unseen* and sit at the uniform prior 1/n.  The
+    other arms are *free*, and the fit moves only them.
+
+    ``reach`` defaults to the identity, the closure of no stages, so it
+    must be given with a nonempty ``set_counts``.
     """
 
     weights: np.ndarray
     wins: np.ndarray | None = None
     set_counts: dict[tuple[int, ...], int] = field(default_factory=dict)
     observations: int = 0
+    reach: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty vector")
-        if not (np.all(np.isfinite(w)) and np.all(w > 0)):
+        if not (np.isfinite(w).all() and (w > 0).all()):
             raise ValueError("weights must be strictly positive and finite")
         wins = np.zeros(w.size, dtype=np.int64) if self.wins is None else self.wins
         wins = np.asarray(wins)
         if wins.shape != w.shape:
             raise ValueError("wins must have one entry per arm")
+        if self.reach is None:
+            if self.set_counts:
+                raise ValueError("reach must be given with set_counts")
+            reach = np.eye(w.size, dtype=bool)
+        else:
+            reach = np.asarray(self.reach, dtype=bool)
+            if reach.shape != (w.size, w.size) or not reach.diagonal().all():
+                raise ValueError("reach must be a reflexive n x n relation")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "wins", wins)
+        object.__setattr__(self, "reach", reach)
 
     @classmethod
     def uniform(cls, n: int) -> "MMState":
@@ -139,59 +171,164 @@ class MMState:
         """Add one observation's stages to the statistics; weights are unchanged."""
         subset = _check_subset(subset, self.n)
         _check_feedback(subset, feedback)
-        if isinstance(feedback, WinnerFeedback):
-            stages = [(subset, feedback.arm)]
-        else:
-            ordering = feedback.ranking.ordering
-            stages = [(ordering[i:], ordering[i]) for i in range(len(ordering) - 1)]
-        wins = self.wins.copy()
-        set_counts = dict(self.set_counts)
-        for remaining, winner in stages:
-            wins[winner] += 1
-            key = tuple(sorted(remaining))
-            set_counts[key] = set_counts.get(key, 0) + 1
-        return replace(
-            self, wins=wins, set_counts=set_counts, observations=self.observations + 1
-        )
+        return _recorded(self, subset, feedback)
 
 
-def mm_fit(state: MMState, max_iters: int = 100, tol: float = 1e-8) -> MMState:
+def _recorded(state: MMState, subset: tuple[int, ...], feedback: Feedback) -> MMState:
+    """``state`` plus the stages of one checked observation."""
+    if isinstance(feedback, WinnerFeedback):
+        stages = [(subset, feedback.arm)]
+    else:
+        ordering = feedback.ranking.ordering
+        stages = [(ordering[i:], ordering[i]) for i in range(len(ordering) - 1)]
+    wins = state.wins.copy()
+    set_counts = dict(state.set_counts)
+    for remaining, winner in stages:
+        wins[winner] += 1
+        key = tuple(sorted(remaining))
+        set_counts[key] = set_counts.get(key, 0) + 1
+    # Stage i's edges run from its winner to every arm remaining: whatever
+    # reaches the winner now reaches whatever those arms reach.  Taken
+    # last stage first, each stage's remaining arms are the next one's
+    # plus its winner, so one running union covers them all.
+    reach = state.reach
+    if stages:
+        target = reach[list(stages[-1][0])].any(axis=0)
+    for _, winner in reversed(stages):
+        target |= reach[winner]
+        if (target > reach[winner]).any():
+            if reach is state.reach:
+                reach = reach.copy()
+            reach |= np.outer(reach[:, winner], target)
+    return _advance(
+        state, wins=wins, set_counts=set_counts, reach=reach,
+        observations=state.observations + 1,
+    )
+
+
+class _Restriction(NamedTuple):
+    """The refit's view of a state: its free arms and the sets that hold one.
+
+    Built for one ``reach`` array and the first ``len(incidence)`` keys of
+    ``set_counts``; ``_restrict`` reuses it while neither changes.  A state
+    carries the one it was last fitted on in ``__dict__["_restriction"]``,
+    outside its fields, and ``_advance`` passes it on.
+    """
+
+    reach: np.ndarray
+    incidence: np.ndarray  # 0/1, one row per key of set_counts, one column per arm
+    free: np.ndarray  # indices of the free arms
+    rows: np.ndarray  # indices of the keys that hold a free arm
+    A: np.ndarray  # incidence[rows][:, free]
+    fixed: np.ndarray  # weights of the other arms: floor or 1/n; 0 at the free arms
+    mass: float  # 1 - fixed.sum(), the free arms' total weight
+
+
+def _restrict(state: MMState) -> _Restriction:
+    """The free arms and their sets, rebuilt only when ``reach`` or the set list changed."""
+    old = state.__dict__.get("_restriction")
+    sets = state.set_counts
+    incidence = None if old is None else old.incidence
+    if incidence is None or len(incidence) < len(sets):
+        # Dict order is insertion order, so new keys are new last rows.
+        keys = list(sets)[0 if incidence is None else len(incidence):]
+        block = np.zeros((len(keys), state.n))
+        block[
+            np.repeat(np.arange(len(keys)), [len(s) for s in keys]),
+            np.fromiter(chain.from_iterable(keys), dtype=np.intp),
+        ] = 1.0
+        incidence = block if incidence is None else np.vstack((incidence, block))
+    elif old.reach is state.reach:
+        return old
+    reach = state.reach
+    seen = incidence.any(axis=0)
+    dominated = (reach & ~reach.T).any(axis=0)
+    free = np.flatnonzero(seen & ~dominated)
+    restricted = incidence[:, free]
+    rows = np.flatnonzero(restricted.any(axis=1))
+    fixed = np.where(dominated, _WEIGHT_FLOOR, np.where(seen, 0.0, 1.0 / state.n))
+    return _Restriction(reach, incidence, free, rows, restricted[rows], fixed, 1.0 - fixed.sum())
+
+
+def mm_fit(state: MMState, max_iters: int = _MAX_SWEEPS, tol: float = _TOL) -> MMState:
     """Fit context-free PL weights to the recorded stages (Hunter's MM iteration).
 
-    Each sweep sets ``w_i`` to the number of stages won by arm i divided
-    by the sum, over stages containing i, of the inverse stage total, then
-    renormalizes.  With the S distinct remaining-sets as the rows of a
-    0/1 incidence matrix ``A`` and their multiplicities ``m``, that
-    denominator is ``(m / (A @ w)) @ A``.  Arms in no stage get numerator
-    1/n and denominator 1, so they stay at the uniform prior.  The
-    iteration warm-starts from ``state.weights`` and stops once no weight
-    moves by ``tol`` or after ``max_iters`` sweeps.
+    Dominated arms go to ``_WEIGHT_FLOOR`` and unseen arms to 1/n in
+    closed form (see ``MMState``); only the free arms are swept, on the
+    remaining-sets that hold a free arm, with the dominated arms left
+    out of every stage total.  A sweep sets each free ``w_i`` to the
+    number of stages won by arm i divided by the sum, over those stages
+    containing i, of the inverse stage total, then scales the free
+    weights to sum ``1 - (floors + priors)``.  With the sets as the rows
+    of a 0/1 incidence matrix ``A`` and their multiplicities ``m``, that
+    denominator is ``(m / (A @ w)) @ A``.
+
+    The sweeps are accelerated by SQUAREM (Varadhan & Roland 2008, step
+    S3).  From w, two sweeps give w1 and w2; with r = w1 - w,
+    v = w2 - w1 - r and ``a = -|r| / |v|`` below -1, the next cycle starts
+    from ``w - 2 a r + a^2 v`` if that point is positive and its
+    log-likelihood on the swept stages is no lower than w's, and from w2
+    otherwise.  The iteration warm-starts from ``state.weights`` and
+    returns the output of the first sweep that moves no weight by
+    ``tol``, or of sweep ``max_iters``.
     """
     if not state.observations:
         raise ValueError("cannot fit with an empty history")
-    n = state.n
-    sets = list(state.set_counts)
-    A = np.zeros((len(sets), n))
-    A[
-        np.repeat(np.arange(len(sets)), [len(s) for s in sets]),
-        np.fromiter(chain.from_iterable(sets), dtype=np.intp),
-    ] = 1.0
-    m = np.fromiter(state.set_counts.values(), dtype=float, count=len(sets))
-    seen = A.any(axis=0)
-    pad = np.where(seen, 0.0, 1.0)
-    numerator = state.wins + pad / n
+    weights, restriction = _fit(state, max_iters, tol)
+    return _advance(state, weights=weights, _restriction=restriction)
+
+
+def _fit(state: MMState, max_iters: int, tol: float) -> tuple[np.ndarray, _Restriction]:
+    """``mm_fit``'s weights and the restriction they were fitted on."""
+    r = _restrict(state)
+    weights = r.fixed.copy()
+    if r.free.size:
+        m = np.fromiter(state.set_counts.values(), dtype=float, count=len(r.incidence))
+        w = state.weights[r.free]
+        weights[r.free] = _squarem(
+            w * (r.mass / w.sum()), state.wins[r.free].astype(float), r.A, m[r.rows],
+            r.mass, max_iters, tol,
+        )
+    return weights, r
+
+
+def _squarem(w, wins, A, m, mass, max_iters, tol):
+    """SQUAREM-accelerated MM sweeps of the free weights (see ``mm_fit``)."""
 
     # At a few dozen sets per-call overhead dominates each sweep, hence
     # ndarray.dot and a bare ufunc reduce instead of ``@`` and ``np.max``.
-    w = state.weights
-    for _ in range(max_iters):
-        w_new = np.maximum(numerator / ((m / A.dot(w)).dot(A) + pad), _WEIGHT_FLOOR)
-        w_new /= w_new.sum()
-        delta = np.maximum.reduce(np.abs(w_new - w))
-        w = w_new
-        if delta < tol:
-            break
-    return replace(state, weights=w)
+    def sweep(w):
+        w_new = wins / (m / A.dot(w)).dot(A)
+        return w_new * (mass / np.add.reduce(w_new))
+
+    def loglik(w):
+        return wins.dot(np.log(w)) - m.dot(np.log(A.dot(w)))
+
+    sweeps, ll = 0, None  # ll: log-likelihood of w, once computed
+    while True:
+        w1 = sweep(w)
+        r = w1 - w
+        sweeps += 1
+        if sweeps == max_iters or np.maximum.reduce(np.abs(r)) < tol:
+            return w1
+        w2 = sweep(w1)
+        d = w2 - w1
+        sweeps += 1
+        if sweeps == max_iters or np.maximum.reduce(np.abs(d)) < tol:
+            return w2
+        v = d - r
+        rr, vv = r.dot(r), v.dot(v)
+        if 0.0 < vv < rr:
+            a = -math.sqrt(rr / vv)
+            x = w - (2.0 * a) * r + (a * a) * v
+            if np.minimum.reduce(x) > 0.0:
+                lx = loglik(x)
+                if ll is None:
+                    ll = loglik(w)
+                if lx >= ll:
+                    w, ll = x, lx
+                    continue
+        w, ll = w2, None
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +416,10 @@ class EpsilonGreedyPolicy(CPPLPolicy):
 class MMPolicy(Policy):
     """Context-free baseline: refit MM weights each round, play top-k greedily.
 
-    The state holds only stage statistics, so a refit costs one pass per
-    sweep over the distinct remaining-sets, however many rounds came
-    before; it warm-starts from the previous weights and runs with
-    ``mm_fit``'s default sweep cap and tolerance.
+    Each round records its stages and refits with ``mm_fit``'s defaults,
+    warm-started from the previous weights.  A sweep passes once over the
+    distinct remaining-sets that hold a free arm (see ``MMState``),
+    however many rounds came before.
     """
 
     def __init__(self, n: int):
@@ -293,4 +430,10 @@ class MMPolicy(Policy):
         return PolicyDecision(top_k_subset(self.state.weights, k))
 
     def _update(self, obs: Observation) -> None:
-        self.state = mm_fit(self.state.record(obs.subset, obs.feedback))
+        # ``mm_fit(state.record(...))`` as one new state: ``Observation``
+        # has checked the subset and feedback, and no caller has seen the
+        # recorded state, so its weights are set in place.
+        state = _recorded(self.state, obs.subset, obs.feedback)
+        weights, restriction = _fit(state, _MAX_SWEEPS, _TOL)
+        state.__dict__.update(weights=weights, _restriction=restriction)
+        self.state = state

@@ -9,8 +9,11 @@ itself.
 The hashes hold for Python 3.11 with numpy 2.4 on OpenBLAS 0.3.31
 (scipy-openblas, x86_64 Haswell kernels).  Another numpy or BLAS may
 round differently and fail these tests without any fault in the code.
-A change that is allowed to move numbers (ROADMAP item 7, the MM refit)
-re-pins them and says so in CHANGES.md.
+A change that is allowed to move numbers re-pins them and says so in
+CHANGES.md.  The mm hash pins the MM refit's rule: arms beaten by arms
+they never beat back sit at the weight floor in closed form, unseen
+arms at 1/n, and only the rest are swept, with SQUAREM steps; the fit
+stops at the first sweep that moves no weight by 1e-8 (ROADMAP item 7).
 
 Three more configs pin the carried-inverse (Woodbury) path of
 ``estimator``, which every cppl run takes once its warm-up ends: cppl
@@ -27,7 +30,7 @@ from preselect import ExperimentConfig, emit_results, run_experiment
 GOLDEN = {
     ("cppl", "winner"): "b82397c428349debb569c33a62145e29b6523ff882128f31d5e6d5380f178c46",
     ("egreedy", "winner"): "92593b65363ada3a7cd7cf26ce2d9790d6ac4a87930b4b92cef3c7504a4ce895",
-    ("mm", "winner"): "769e2cec24bb4fce64667c2bd30039f7cdc30c6a1bd111810f129332d5d773b6",
+    ("mm", "winner"): "16b1b4333278012a08aa2da568b782f8152bb145d77e25d747d7c9e3fdf6c3aa",
     ("cppl", "ranking"): "22ed1f8cdbd3be1e5a3e955f4e83dabab84b760df13451329247bd6d61a74bc5",
 }
 

@@ -250,17 +250,8 @@ class TestRunExperiment:
     def test_algoselect_cppl_reruns_are_byte_identical(self, tmp_path):
         # d = 10 instance features x 4 solver features = 40, so the
         # curvature is singular and the ridge shift fires in early rounds.
+        runtimes, features = write_algoselect_tables(tmp_path)
         rng = np.random.default_rng(4)
-        ids = [f"i{j}" for j in range(80)]
-
-        def write(name, header, values):
-            rows = [f"{i}," + ",".join(f"{v:.4f}" for v in row) for i, row in zip(ids, values)]
-            (tmp_path / name).write_text(",".join(["instance_id", *header]) + "\n"
-                                         + "\n".join(rows) + "\n")
-            return str(tmp_path / name)
-
-        runtimes = write("rt.csv", [f"solver_{s}" for s in range(20)], rng.uniform(0, 0.5, (80, 20)))
-        features = write("fi.csv", [f"f{a}" for a in range(10)], rng.uniform(size=(80, 10)))
         env = AlgoSelectEnvironment(load_runtime_table(runtimes, features), lam=10.0, rng=rng)
         assert env.d == 40
         config = ExperimentConfig(
@@ -271,6 +262,40 @@ class TestRunExperiment:
         emit_results(run_experiment(config), first, "csv")
         emit_results(run_experiment(config), second, "csv")
         assert first.read_bytes() == second.read_bytes()
+
+    def test_algoselect_experiment_preprocesses_once(self, tmp_path, monkeypatch):
+        # The repetitions share the loaded table and each draws its own order.
+        runtimes, features = write_algoselect_tables(tmp_path)
+        calls, orders = [], []
+        real_preprocess = preselect.environments.preprocess_features
+        monkeypatch.setattr(preselect.environments, "preprocess_features",
+                            lambda raw: calls.append(1) or real_preprocess(raw))
+        real_round = AlgoSelectEnvironment.round
+        monkeypatch.setattr(AlgoSelectEnvironment, "round",
+                            lambda env, t: (t == 1 and orders.append(env.order)) or real_round(env, t))
+        config = ExperimentConfig(
+            environment="algoselect", policy="mm", k=5, T=20, reps=3, seed=3,
+            runtimes=runtimes, instance_features=features,
+        )
+        run_experiment(config)
+        assert len(calls) == 1
+        assert len(orders) == 3 and not np.array_equal(orders[0], orders[1])
+
+
+def write_algoselect_tables(tmp_path):
+    """80 instances, 20 solvers and 10 instance features, as CSV; returns the two paths."""
+    rng = np.random.default_rng(4)
+    ids = [f"i{j}" for j in range(80)]
+
+    def write(name, header, values):
+        rows = [f"{i}," + ",".join(f"{v:.4f}" for v in row) for i, row in zip(ids, values)]
+        (tmp_path / name).write_text(",".join(["instance_id", *header]) + "\n"
+                                     + "\n".join(rows) + "\n")
+        return str(tmp_path / name)
+
+    runtimes = write("rt.csv", [f"solver_{s}" for s in range(20)], rng.uniform(0, 0.5, (80, 20)))
+    features = write("fi.csv", [f"f{a}" for a in range(10)], rng.uniform(size=(80, 10)))
+    return runtimes, features
 
 
 class TestEmitResults:
