@@ -55,7 +55,6 @@ from .environments import (
     RuntimeTable,
     SyntheticEnvironment,
     SyntheticScenario,
-    algoselect_round,
     bundled_solver_features,
     instant_regret,
     load_runtime_table,

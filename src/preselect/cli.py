@@ -94,7 +94,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if "lambda" in values:
             values["lam"] = values.pop("lambda")
     for key in (f.name for f in dataclasses.fields(ExperimentConfig)):
-        flag = getattr(args, key, None)  # None for ridge and environment: no flag
+        flag = getattr(args, key, None)  # None for environment: no flag
         if flag is not None:
             values[key] = flag
     values["environment"] = args.command

@@ -47,7 +47,6 @@ __all__ = [
     "RuntimeTable",
     "instant_regret",
     "preprocess_features",
-    "algoselect_round",
     "sample_feedback",
     "SyntheticEnvironment",
     "AlgoSelectEnvironment",
@@ -218,30 +217,6 @@ def preprocess_features(raw: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return scaled[:, keep], list(keep)
 
 
-def algoselect_round(
-    table: RuntimeTable, order: np.ndarray, t: int, lam: float
-) -> tuple[ContextMatrix, UtilityVector]:
-    """Context and true utilities for round ``t`` of an algorithm-selection run.
-
-    The instance is ``order[t-1]``; arm i's feature vector is the
-    Kronecker product of the instance features and solver i's features
-    (instance entries vary slowest), and its true utility is
-    ``exp(-lam * runtime)``.
-    """
-    order = np.asarray(order, dtype=int)
-    _check_setting("lam", lam)
-    if t < 1 or t > order.size:
-        raise RuntimeError(
-            f"environment exhausted: round {t} of {order.size} available instances"
-        )
-    row = int(order[t - 1])
-    inst = table.instance_features[row]
-    features = inst[:, None, None] * table.solver_features.T
-    context = ContextMatrix(features.reshape(-1, table.num_solvers))
-    utils = UtilityVector(-lam * table.runtimes[row])
-    return context, utils
-
-
 def sample_feedback(
     true_utils: UtilityVector, subset, mode: str, rng: np.random.Generator
 ) -> Feedback:
@@ -319,7 +294,21 @@ class AlgoSelectEnvironment:
         return self.table.num_instances
 
     def round(self, t: int) -> tuple[ContextMatrix, UtilityVector]:
-        return algoselect_round(self.table, self.order, t, self.lam)
+        """Context and true utilities for round ``t``, on instance ``order[t-1]``.
+
+        Arm i's feature vector is the Kronecker product of the instance
+        features and solver i's features (instance entries vary slowest),
+        and its true utility is ``exp(-lam * runtime)``.
+        """
+        if t < 1 or t > self.order.size:
+            raise RuntimeError(
+                f"environment exhausted: round {t} of {self.order.size} available instances"
+            )
+        table = self.table
+        row = int(self.order[t - 1])
+        features = table.instance_features[row][:, None, None] * table.solver_features.T
+        context = ContextMatrix(features.reshape(-1, table.num_solvers))
+        return context, UtilityVector(-self.lam * table.runtimes[row])
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,10 @@ __all__ = [
     "chi2_tail_bounds",
 ]
 
+# The ridge rule's shift (see ``covariance``): the normalized curvature is
+# near-singular in early rounds, and is shifted by it before inversion.
+_RIDGE = 1e-6
+
 
 @dataclass(frozen=True)
 class EstimatorState:
@@ -50,9 +54,7 @@ class EstimatorState:
 
     ``theta_hat`` is the current SGD iterate, ``theta_bar`` the running
     average of iterates 1..t.  ``V_accum`` is the raw (unnormalized)
-    score accumulator.  ``ridge`` is the shift applied to the normalized
-    curvature matrix before inversion when it is near-singular
-    (unavoidable in early rounds).
+    score accumulator.
 
     The curvature is held in exactly one of two forms: the raw
     accumulator ``S_accum`` (fresh state), or its inverse
@@ -76,7 +78,6 @@ class EstimatorState:
     V_accum: np.ndarray
     gamma1: float
     alpha: float
-    ridge: float = 1e-6
     S_accum_inv: np.ndarray | None = None
 
     def __post_init__(self):
@@ -94,7 +95,7 @@ class EstimatorState:
             raise ValueError(f"{curvature} and V_accum must be d x d matrices")
         if self.t < 0:
             raise ValueError("update counter must be nonnegative")
-        for name in ("gamma1", "alpha", "ridge"):
+        for name in ("gamma1", "alpha"):
             _check_setting(name, getattr(self, name))
         object.__setattr__(self, "theta_hat", theta_hat)
         object.__setattr__(self, "theta_bar", theta_bar)
@@ -108,7 +109,6 @@ class EstimatorState:
         rng: np.random.Generator,
         gamma1: float = 2.0,
         alpha: float = 0.6,
-        ridge: float = 1e-6,
     ) -> "EstimatorState":
         """Fresh state with ``theta_hat = theta_bar`` drawn uniformly from [0, 1]^d.
 
@@ -124,7 +124,6 @@ class EstimatorState:
             V_accum=np.zeros((d, d)),
             gamma1=gamma1,
             alpha=alpha,
-            ridge=ridge,
         )
 
     @property
@@ -220,9 +219,9 @@ def _has_cholesky(A: np.ndarray) -> bool:
     return True
 
 
-def _passes_ridge_test(S: np.ndarray, ridge: float) -> bool:
-    """The ridge rule's test on ``S = S_accum / t``: is ``-S - ridge * I`` positive definite?"""
-    return _has_cholesky(-S - ridge * np.eye(S.shape[0]))
+def _passes_ridge_test(S: np.ndarray) -> bool:
+    """The ridge rule's test on ``S = S_accum / t``: is ``-S - _RIDGE * I`` positive definite?"""
+    return _has_cholesky(-S - _RIDGE * np.eye(S.shape[0]))
 
 
 def _attach_inverse(state: EstimatorState) -> EstimatorState:
@@ -231,7 +230,7 @@ def _attach_inverse(state: EstimatorState) -> EstimatorState:
     From then on ``S_accum`` is negative definite and stays so, since
     every update adds a negative semi-definite Hessian.
     """
-    if not _passes_ridge_test(state.S_accum / state.t, state.ridge):
+    if not _passes_ridge_test(state.S_accum / state.t):
         return state
     return _advance(state, S_accum=None, S_accum_inv=np.linalg.inv(state.S_accum))
 
@@ -247,35 +246,35 @@ def _carried_factor(state: EstimatorState) -> np.ndarray:
     """M with ``Sigma = M V_accum M`` for a carried state, W = ``S_accum_inv``.
 
     The ridge rule of ``covariance`` restated on W.  With ``S = S_accum / t
-    = (t W)^-1`` negative definite, ``-S - ridge * I`` is positive
-    definite exactly when ``I + t * ridge * W`` is.  The test is skipped
-    when ``||W||_F * t * ridge < 1``: the Frobenius norm bounds the
-    spectral radius, so every eigenvalue magnitude of S exceeds ``ridge``
+    = (t W)^-1`` negative definite, ``-S - _RIDGE * I`` is positive
+    definite exactly when ``I + t * _RIDGE * W`` is.  The test is skipped
+    when ``||W||_F * t * _RIDGE < 1``: the Frobenius norm bounds the
+    spectral radius, so every eigenvalue magnitude of S exceeds ``_RIDGE``
     and the test would pass.  A passing test gives M = W.  A failing one
-    gives the shifted inverse ``(S - ridge * I)^-1 / t``, which is
-    ``inv(I - t * ridge * W) W``: one ``inv``, as the fresh path spends.
+    gives the shifted inverse ``(S - _RIDGE * I)^-1 / t``, which is
+    ``inv(I - t * _RIDGE * W) W``: one ``inv``, as the fresh path spends.
     The bound skipped the test on every carried round of 1,200-round
-    synthetic runs at d=80, where ``||W||_F * t * ridge`` settles near 1e-4.
+    synthetic runs at d=80, where ``||W||_F * t * _RIDGE`` settles near 1e-4.
     """
     t = _update_count(state)
     W = state.S_accum_inv
-    if np.linalg.norm(W) * t * state.ridge < 1.0 or _has_cholesky(
-        np.eye(state.d) + t * state.ridge * W
+    if np.linalg.norm(W) * t * _RIDGE < 1.0 or _has_cholesky(
+        np.eye(state.d) + t * _RIDGE * W
     ):
         return W
-    return np.linalg.inv(np.eye(state.d) - t * state.ridge * W) @ W
+    return np.linalg.inv(np.eye(state.d) - t * _RIDGE * W) @ W
 
 
 def covariance(state: EstimatorState) -> np.ndarray:
     """Sandwich covariance estimate ``t^-1 S^-1 V S^-1`` for ``theta_bar``.
 
-    Ridge rule: ``S = S_accum / t`` is shifted to ``S - ridge * I``
-    before inversion unless ``-S - ridge * I`` has a Cholesky factor,
-    that is, unless every eigenvalue of S is below ``-ridge``.  S is a
+    Ridge rule: ``S = S_accum / t`` is shifted to ``S - _RIDGE * I``
+    before inversion unless ``-S - _RIDGE * I`` has a Cholesky factor,
+    that is, unless every eigenvalue of S is below ``-_RIDGE``.  S is a
     sum of Plackett-Luce Hessians and hence negative semi-definite, so
     for it the rule shifts exactly when the smallest eigenvalue
-    magnitude is at most ``ridge``.  A user-built S with an eigenvalue at
-    or above ``-ridge`` (indefinite or positive) is always shifted.  The
+    magnitude is at most ``_RIDGE``.  A user-built S with an eigenvalue at
+    or above ``-_RIDGE`` (indefinite or positive) is always shifted.  The
     result is symmetrized and positive semi-definite regardless of the
     sign of S because S enters twice.
 
@@ -290,8 +289,8 @@ def covariance(state: EstimatorState) -> np.ndarray:
     else:
         t = _update_count(state)
         S = state.S_accum / t
-        if not _passes_ridge_test(S, state.ridge):
-            S = S - state.ridge * np.eye(state.d)
+        if not _passes_ridge_test(S):
+            S = S - _RIDGE * np.eye(state.d)
         S_inv = np.linalg.inv(S)
         sigma = S_inv @ (state.V_accum / t) @ S_inv / t
     return (sigma + sigma.T) / 2.0

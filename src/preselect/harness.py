@@ -91,7 +91,6 @@ class ExperimentConfig:
     omega: float = 1.0
     epsilon: float = 0.1
     lam: float = 10.0
-    ridge: float = 1e-6
     runtimes: str | None = None
     instance_features: str | None = None
     solver_features: str | None = None
@@ -193,7 +192,7 @@ def _build_environment(config: ExperimentConfig, rep_seed, setup_rng, table):
 
 
 def _build_policy(config: ExperimentConfig, env, policy_rng) -> Policy:
-    common = dict(gamma1=config.gamma1, alpha=config.alpha, ridge=config.ridge)
+    common = dict(gamma1=config.gamma1, alpha=config.alpha)
     if config.policy == "cppl":
         return CPPLPolicy(env.d, policy_rng, omega=config.omega, **common)
     if config.policy == "maxtheta":
@@ -230,10 +229,9 @@ def run_repetition(
     try:
         for t in range(1, config.T + 1):
             context, utils = env.round(t)
-            policy.observe(context)
-            decision = policy.choose(config.k)
+            decision = policy.choose(context, config.k)
             feedback = sample_feedback(utils, decision.subset, config.feedback, feedback_rng)
-            policy.update(feedback)
+            policy.update(feedback, decision.subset, context)
             regrets[t - 1] = instant_regret(utils, decision.subset)
     except Exception as exc:
         raise RuntimeError(f"round {t}: {exc}") from exc

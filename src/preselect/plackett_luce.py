@@ -129,15 +129,13 @@ def contextual_utilities(theta: np.ndarray, context: ContextMatrix) -> UtilityVe
 
 
 # Input rules, each written once: the config and the constructors call these.
-_POSITIVE = ("finite and positive", lambda v: 0.0 < v < math.inf)
 _NONNEGATIVE = ("nonnegative and finite", lambda v: 0.0 <= v < math.inf)
 _SETTING_RULES = {  # setting -> (what it must be, test)
-    "gamma1": _POSITIVE,
+    "gamma1": ("finite and positive", lambda v: 0.0 < v < math.inf),
     "alpha": ("in (1/2, 1)", lambda v: 0.5 < v < 1.0),
     "omega": _NONNEGATIVE,
     "epsilon": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
     "lam": _NONNEGATIVE,
-    "ridge": _POSITIVE,
 }
 
 

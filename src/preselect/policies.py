@@ -1,10 +1,10 @@
 """Subset-selection policies behind a uniform online interface.
 
-Every policy follows the same per-round protocol driven by the harness:
+Every policy plays the same per-round protocol, and the harness passes
+each step its inputs:
 
-    policy.observe(context)          # round context revealed
-    decision = policy.choose(k)      # pick k distinct arms
-    policy.update(feedback)          # winner or ranking of the chosen subset
+    decision = policy.choose(context, k)                 # pick k distinct arms
+    policy.update(feedback, decision.subset, context)    # learn from their feedback
 
 Because the objective ``sum of per-arm scores`` is separable, the argmax
 over fixed-size subsets reduces to taking the top-k arms by score; ties
@@ -337,28 +337,17 @@ def _squarem(w, wins, A, m, mass, max_iters, tol):
 
 
 class Policy(ABC):
-    """Per-round protocol: observe(context) -> choose(k) -> update(feedback)."""
+    """Per-round protocol: choose(context, k) -> update(feedback, subset, context).
 
-    def __init__(self):
-        self._context: ContextMatrix | None = None
-        self._subset: tuple[int, ...] | None = None
+    A policy holds only its learner state; the caller keeps the round's
+    context and the chosen subset and passes them back to ``update``.
+    """
 
-    def observe(self, context: ContextMatrix) -> None:
-        self._context = context
-        self._subset = None
+    def choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
+        return self._choose(context, k)
 
-    def choose(self, k: int) -> PolicyDecision:
-        if self._context is None:
-            raise RuntimeError("choose() called before observe()")
-        decision = self._choose(self._context, k)
-        self._subset = decision.subset
-        return decision
-
-    def update(self, feedback: Feedback) -> None:
-        if self._context is None or self._subset is None:
-            raise RuntimeError("update() called before observe()/choose()")
-        obs = Observation(feedback=feedback, subset=self._subset, context=self._context)
-        self._update(obs)
+    def update(self, feedback: Feedback, subset: tuple[int, ...], context: ContextMatrix) -> None:
+        self._update(Observation(feedback=feedback, subset=subset, context=context))
 
     @abstractmethod
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision: ...
@@ -377,12 +366,10 @@ class CPPLPolicy(Policy):
         gamma1: float = 2.0,
         alpha: float = 0.6,
         omega: float = 1.0,
-        ridge: float = 1e-6,
     ):
-        super().__init__()
         _check_setting("omega", omega)
         self.omega = omega
-        self.state = EstimatorState.init(d, rng, gamma1=gamma1, alpha=alpha, ridge=ridge)
+        self.state = EstimatorState.init(d, rng, gamma1=gamma1, alpha=alpha)
 
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
         return cppl_choose(self.state, context, k, self.omega)
@@ -397,8 +384,8 @@ class CPPLPolicy(Policy):
 class EpsilonGreedyPolicy(CPPLPolicy):
     """Max-Theta with an epsilon-probability uniformly random subset."""
 
-    def __init__(self, d, rng, epsilon=0.1, gamma1=2.0, alpha=0.6, ridge=1e-6):
-        super().__init__(d, rng, gamma1=gamma1, alpha=alpha, omega=0.0, ridge=ridge)
+    def __init__(self, d, rng, epsilon=0.1, gamma1=2.0, alpha=0.6):
+        super().__init__(d, rng, gamma1=gamma1, alpha=alpha, omega=0.0)
         _check_setting("epsilon", epsilon)
         self.epsilon = epsilon
         self.rng = rng
@@ -423,7 +410,6 @@ class MMPolicy(Policy):
     """
 
     def __init__(self, n: int):
-        super().__init__()
         self.state = MMState.uniform(n)
 
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:

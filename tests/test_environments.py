@@ -12,7 +12,6 @@ from preselect import (
     SyntheticEnvironment,
     SyntheticScenario,
     UtilityVector,
-    algoselect_round,
     instant_regret,
     load_runtime_table,
     load_solver_features,
@@ -196,19 +195,18 @@ def small_table(num_instances=30, num_solvers=4, p=5, seed=5):
 
 
 class TestAlgoSelect:
-    def test_lambda_zero_gives_unit_utilities(self):
-        table = small_table()
-        order = np.arange(table.num_instances)
-        _, utils = algoselect_round(table, order, 1, lam=0.0)
+    def test_lambda_zero_gives_unit_utilities(self, rng):
+        env = AlgoSelectEnvironment(small_table(), lam=0.0, rng=rng)
+        _, utils = env.round(1)
         np.testing.assert_allclose(utils.values, 1.0)
 
-    def test_faster_solver_has_higher_utility(self):
+    def test_faster_solver_has_higher_utility(self, rng):
         table = RuntimeTable(
             runtimes=np.array([[0.1, 0.2]]* 2),
             instance_features=np.eye(2),
             solver_features=np.ones((2, 4)),
         )
-        _, utils = algoselect_round(table, np.array([0, 1]), 1, lam=10.0)
+        _, utils = AlgoSelectEnvironment(table, lam=10.0, rng=rng).round(1)
         assert utils.values[0] == pytest.approx(np.exp(-1.0))
         assert utils.values[1] == pytest.approx(np.exp(-2.0))
         assert utils.values[0] > utils.values[1]
@@ -217,20 +215,20 @@ class TestAlgoSelect:
         # Oracle: arm i's column is np.kron(inst, solver_i), so entry
         # (4a + b) is the single product inst[a] * solver_i[b], bit for bit.
         for p in (7, 20):
-            table = small_table(p=p)
-            order = np.arange(table.num_instances)
-            context, _ = algoselect_round(table, order, 3, lam=1.0)
-            inst = table.instance_features[order[2]]
+            env = AlgoSelectEnvironment(small_table(p=p), lam=1.0, rng=rng)
+            context, _ = env.round(3)
+            table = env.table  # the preprocessed features the rounds read
+            inst = table.instance_features[env.order[2]]
             expected = np.column_stack([np.kron(inst, solver) for solver in table.solver_features])
-            assert context.features.shape == (4 * p, table.num_solvers)
+            assert context.features.shape == (4 * inst.size, table.num_solvers)
             assert np.array_equal(context.features, expected)
             assert context.features[4 * 2 + 1, 3] == inst[2] * table.solver_features[3, 1]
 
-    def test_exhaustion(self):
-        table = small_table(num_instances=3)
-        order = np.arange(3)
-        with pytest.raises(RuntimeError):
-            algoselect_round(table, order, 4, lam=1.0)
+    def test_exhaustion(self, rng):
+        env = AlgoSelectEnvironment(small_table(num_instances=3), lam=1.0, rng=rng)
+        env.round(3)
+        with pytest.raises(RuntimeError, match="environment exhausted: round 4 of 3"):
+            env.round(4)
 
     def test_environment_never_repeats_instances(self, rng):
         table = small_table(num_instances=25)
@@ -238,20 +236,11 @@ class TestAlgoSelect:
         assert sorted(env.order) == list(range(25))
         assert env.max_rounds == 25
 
-    @pytest.mark.parametrize("lam", [-1.0, -1e-12, float("nan")])
+    # exp(-inf * runtime) is no utility, so inf fails the same rule.
+    @pytest.mark.parametrize("lam", [-1.0, -1e-12, float("nan"), float("inf")])
     def test_environment_rejects_bad_lambda_when_built(self, rng, lam):
-        with pytest.raises(ValueError, match="lam must be nonnegative"):
+        with pytest.raises(ValueError, match=f"lam must be nonnegative and finite, got {lam}"):
             AlgoSelectEnvironment(small_table(), lam=lam, rng=rng)
-
-    @pytest.mark.parametrize("entry", ["environment", "round"])
-    def test_infinite_lambda_rejected_where_called(self, rng, entry):
-        # exp(-inf * runtime) is no utility; both entries apply the one lam rule.
-        table = small_table()
-        with pytest.raises(ValueError, match="lam must be nonnegative and finite, got inf"):
-            if entry == "environment":
-                AlgoSelectEnvironment(table, lam=float("inf"), rng=rng)
-            else:
-                algoselect_round(table, np.arange(table.num_instances), 1, lam=float("inf"))
 
     def test_environment_rejects_table_with_no_usable_column(self, rng):
         table = small_table()

@@ -25,7 +25,7 @@ from preselect import (
 )
 from preselect import estimator, likelihood
 from preselect.environments import sample_feedback
-from preselect.estimator import _attach_inverse
+from preselect.estimator import _RIDGE, _attach_inverse
 from preselect.harness import _build_environment, _streams
 from preselect.likelihood import hessian_loglik
 
@@ -72,11 +72,10 @@ class TestState:
             EstimatorState.init(3, rng, alpha=1.0)
 
     @pytest.mark.parametrize("build", [EstimatorState.init, CPPLPolicy], ids=["state", "policy"])
-    @pytest.mark.parametrize("name", ["gamma1", "ridge"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_rejects_non_finite_gamma1_and_ridge(self, rng, build, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-            build(3, rng, **{name: value})
+    def test_rejects_non_finite_gamma1(self, rng, build, value):
+        with pytest.raises(ValueError, match="gamma1 must be finite and positive"):
+            build(3, rng, gamma1=value)
 
 
 class TestSgdUpdate:
@@ -145,14 +144,14 @@ class TestSgdUpdate:
 
 def reference_ridged(state):
     """The eigenvalue ridge test that the Cholesky rule replaced."""
-    return np.min(np.abs(np.linalg.eigvalsh(state.S_accum / state.t))) < state.ridge
+    return np.min(np.abs(np.linalg.eigvalsh(state.S_accum / state.t))) < _RIDGE
 
 
 def reference_covariance(state, ridged):
     """Sandwich covariance by ``inv`` with the ridge shift on or off."""
     S = state.S_accum / state.t
     if ridged:
-        S = S - state.ridge * np.eye(state.d)
+        S = S - _RIDGE * np.eye(state.d)
     S_inv = np.linalg.inv(S)
     sigma = S_inv @ (state.V_accum / state.t) @ S_inv / state.t
     return (sigma + sigma.T) / 2.0
@@ -168,9 +167,6 @@ def reference_widths(state, X, omega):
     return omega * np.sqrt(bracket * np.exp(2.0 * logits) * quad)
 
 
-RIDGE = 1e-6
-
-
 def nsd_state(rng, d, t, curvature):
     """State at ``t`` whose normalized curvature is ``-curvature`` (PSD given)."""
     B = rng.normal(size=(d, d))
@@ -182,7 +178,6 @@ def nsd_state(rng, d, t, curvature):
         V_accum=t * (B @ B.T / d),
         gamma1=2.0,
         alpha=0.6,
-        ridge=RIDGE,
     )
 
 
@@ -193,7 +188,7 @@ def ridge_cases(rng, d):
         G = rng.normal(size=(terms, d))
         yield G.T @ G / terms
     Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    for smallest in (0.5 * RIDGE, 2.0 * RIDGE):
+    for smallest in (0.5 * _RIDGE, 2.0 * _RIDGE):
         eig = rng.uniform(0.5, 2.0, size=d)
         eig[rng.integers(d)] = smallest
         yield (Q * eig) @ Q.T
@@ -247,7 +242,7 @@ class TestRidgeRuleReference:
             ((0.5,), (1, 1)), ((1.2, 1.3), (1, 0)), ((2.0,), (0, 0)),
         ):
             eig = rng.uniform(0.5, 2.0, size=d)
-            eig[: len(smallest)] = np.array(smallest) * RIDGE
+            eig[: len(smallest)] = np.array(smallest) * _RIDGE
             cases.append(((Q * eig) @ Q.T, expected_calls))
         # The carried state holds W alone; the references read the known
         # curvature from the fresh state it was built from.
@@ -283,15 +278,14 @@ class TestCarriedInverse:
         carried = 0
         for t in range(1, config.T + 1):
             context, utils = env.round(t)
-            policy.observe(context)
-            subset = policy.choose(config.k).subset
+            subset = policy.choose(context, config.k).subset
             feedback_t = sample_feedback(utils, subset, feedback, feedback_rng)
-            policy.update(feedback_t)
+            policy.update(feedback_t, subset, context)
             state = policy.state
             obs = Observation(feedback=feedback_t, subset=subset, context=context)
             S_ref += hessian_loglik(state.theta_bar, obs)
             try:
-                np.linalg.cholesky(-S_ref / t - state.ridge * eye)
+                np.linalg.cholesky(-S_ref / t - _RIDGE * eye)
                 ridged = False
             except np.linalg.LinAlgError:
                 ridged = True

@@ -23,8 +23,11 @@ from preselect import (
     ExperimentConfig,
     RuntimeTable,
     Policy,
+    RankingFeedback,
+    SyntheticEnvironment,
     SyntheticScenario,
     PolicyDecision,
+    WinnerFeedback,
     contextual_utilities,
     emit_results,
     load_runtime_table,
@@ -38,7 +41,6 @@ class OraclePolicy(Policy):
     """Test-only policy that knows the hidden parameter and always includes the best arm."""
 
     def __init__(self, theta_star):
-        super().__init__()
         self.theta_star = theta_star
 
     def _choose(self, context, k):
@@ -55,7 +57,6 @@ class FailingPolicy(Policy):
     """Test-only policy that raises ``ValueError("boom")`` in round ``at_round``."""
 
     def __init__(self, at_round):
-        super().__init__()
         self.at_round = at_round
         self.rounds = 0
 
@@ -73,7 +74,6 @@ class FixedSubsetPolicy(Policy):
     """Test-only policy that plays the same, possibly invalid, subset every round."""
 
     def __init__(self, subset):
-        super().__init__()
         self.subset = subset
 
     def _choose(self, context, k):
@@ -110,7 +110,6 @@ class TestConfig:
         ("omega", -1.0), ("omega", float("inf")),
         ("epsilon", -0.1), ("epsilon", 1.5),
         ("lam", -1.0), ("lam", float("inf")),
-        ("ridge", 0.0), ("ridge", float("nan")),
     ])
     def test_config_and_owning_constructor_apply_the_same_rule(self, name, value):
         rng = np.random.default_rng(0)
@@ -120,7 +119,6 @@ class TestConfig:
         owners = {
             "gamma1": lambda v: EstimatorState.init(3, rng, gamma1=v),
             "alpha": lambda v: EstimatorState.init(3, rng, alpha=v),
-            "ridge": lambda v: EstimatorState.init(3, rng, ridge=v),
             "omega": lambda v: CPPLPolicy(3, rng, omega=v),
             "epsilon": lambda v: EpsilonGreedyPolicy(3, rng, epsilon=v),
             "lam": lambda v: AlgoSelectEnvironment(table, lam=v, rng=rng),
@@ -204,6 +202,26 @@ class TestRunRepetition:
             contexts[name] = np.stack([env.round(t)[0].features for t in range(1, 11)])
             np.testing.assert_array_equal(env.scenario.theta_star, env.scenario.theta_star)
         np.testing.assert_array_equal(contexts["a"], contexts["b"])
+
+    @pytest.mark.parametrize("feedback", ["winner", "ranking"])
+    def test_update_gets_the_feedback_then_the_subset_then_the_context(self, monkeypatch, feedback):
+        rounds, decisions, updates = [], [], []
+
+        def recorder(fn, log):
+            return lambda owner, *args: log.append(fn(owner, *args)) or log[-1]
+
+        update = Policy.update
+        monkeypatch.setattr(SyntheticEnvironment, "round",
+                            recorder(SyntheticEnvironment.round, rounds))
+        monkeypatch.setattr(Policy, "choose", recorder(Policy.choose, decisions))
+        monkeypatch.setattr(Policy, "update",
+                            lambda policy, *args: updates.append(args) or update(policy, *args))
+        run_repetition(small_config(feedback=feedback, T=4), 0)
+        kind = WinnerFeedback if feedback == "winner" else RankingFeedback
+        assert len(rounds) == len(decisions) == len(updates) == 4
+        for (context, _), decision, args in zip(rounds, decisions, updates):
+            assert len(args) == 3 and isinstance(args[0], kind)
+            assert args[1] == decision.subset and args[2] is context
 
     def test_failure_names_the_round(self):
         with pytest.raises(RuntimeError, match=r"^round 3: boom$"):
@@ -395,7 +413,7 @@ class TestCli:
     @pytest.mark.parametrize("field, value", [
         ("omega", float("nan")), ("omega", float("inf")), ("lambda", float("nan")),
         ("gamma1", float("inf")), ("alpha", float("nan")), ("epsilon", -float("inf")),
-        ("ridge", float("nan")), ("ridge", -1.0), ("ridge", 0.0), ("omega", "1.0"),
+        ("omega", "1.0"),
         ("gamma1", 0.0), ("alpha", 0.5), ("alpha", 1.0), ("omega", -1.0), ("epsilon", 1.5),
         ("lambda", -1.0),
     ])
@@ -406,6 +424,14 @@ class TestCli:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert f"configuration error: {field} must be" in capsys.readouterr().err
+
+    def test_ridge_is_no_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 5, "reps": 1, "ridge": 1e-6}))
+        code = cli_main(["synthetic", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "ridge" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--omega", "--lambda"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -126,18 +126,16 @@ class TestEpsilonGreedy:
         context = ContextMatrix(rng.uniform(size=(3, 6)))
         policy = epsilon_greedy(state, 0.0, rng)
         for _ in range(20):
-            policy.observe(context)
-            assert policy.choose(2).subset == cppl_choose(state, context, 2, 0.0).subset
+            assert policy.choose(context, 2).subset == cppl_choose(state, context, 2, 0.0).subset
 
     def test_epsilon_one_uniform_over_subsets(self):
         state = fitted_state(np.random.default_rng(1), 2)
         context = ContextMatrix(np.random.default_rng(2).uniform(size=(2, 5)))
         policy = epsilon_greedy(state, 1.0, np.random.default_rng(17))
-        policy.observe(context)
         counts = {}
         draws = 100000
         for _ in range(draws):
-            subset = policy.choose(2).subset
+            subset = policy.choose(context, 2).subset
             counts[subset] = counts.get(subset, 0) + 1
         assert len(counts) == 10
         for subset, count in counts.items():
@@ -407,11 +405,10 @@ class TestMMFit:
         sweeps = []
         for t in range(1, config.T + 1):
             context, utils = env.round(t)
-            policy.observe(context)
-            subset = policy.choose(config.k).subset
+            subset = policy.choose(context, config.k).subset
             feedback = sample_feedback(utils, subset, config.feedback, feedback_rng)
             recorded = policy.state.record(subset, feedback)
-            policy.update(feedback)
+            policy.update(feedback, subset, context)
             np.testing.assert_array_equal(mm_fit(recorded).weights, policy.state.weights)
             sweeps.append(sweeps_to_settle(recorded))
         assert max(sweeps) < 100
@@ -486,9 +483,8 @@ class TestMMState:
         monkeypatch.setattr(MMState, "__post_init__", lambda self: checks.append(1))
         context = ContextMatrix(np.zeros((1, 4)))
         for t in range(5):
-            policy.observe(context)
-            subset = policy.choose(2).subset
-            policy.update(WinnerFeedback(subset[t % 2]))
+            subset = policy.choose(context, 2).subset
+            policy.update(WinnerFeedback(subset[t % 2]), subset, context)
         assert len(built) == 5 and not checks
 
 
@@ -496,8 +492,7 @@ def mm_choice(state, k):
     """The subset an ``MMPolicy`` holding ``state`` chooses."""
     policy = MMPolicy(state.n)
     policy.state = state
-    policy.observe(ContextMatrix(np.zeros((1, state.n))))
-    return policy.choose(k).subset
+    return policy.choose(ContextMatrix(np.zeros((1, state.n))), k).subset
 
 
 class TestMMChoose:
@@ -515,13 +510,32 @@ class TestMMChoose:
 
 
 class TestPolicyInterface:
-    def test_protocol_enforced(self, rng):
-        policy = MMPolicy(4)
-        with pytest.raises(RuntimeError):
-            policy.choose(2)
-        policy.observe(ContextMatrix(rng.uniform(size=(2, 4))))
-        with pytest.raises(RuntimeError):
-            policy.update(WinnerFeedback(0))
+    @pytest.mark.parametrize("name", ["cppl", "maxtheta", "egreedy", "mm"])
+    def test_holds_only_its_learner_state(self, name):
+        # The loop keeps the context and the subset; a round adds no attribute.
+        config = ExperimentConfig(policy=name, n=6, d=3, k=2, T=3, reps=1, seed=4)
+        rep_seed, policy_rng, feedback_rng, setup_rng = _streams(config.seed, 0)
+        env = _build_environment(config, rep_seed, setup_rng, None)
+        policy = _build_policy(config, env, policy_rng)
+        attributes = set(vars(policy))
+        for t in range(1, config.T + 1):
+            context, utils = env.round(t)
+            subset = policy.choose(context, config.k).subset
+            policy.update(sample_feedback(utils, subset, "winner", feedback_rng), subset, context)
+        assert set(vars(policy)) == attributes <= {"omega", "state", "epsilon", "rng"}
+
+    @pytest.mark.parametrize("feedback, message", [
+        (WinnerFeedback(3), "winner must be a member of the subset"),
+        (RankingFeedback(Ranking((1, 3))), "ranking domain must equal the subset"),
+        (RankingFeedback(Ranking((1,))), "ranking domain must equal the subset"),
+    ], ids=["winner-outside", "ranking-other-arm", "ranking-one-arm"])
+    def test_update_rejects_feedback_about_another_subset(self, rng, feedback, message):
+        context = ContextMatrix(rng.uniform(size=(2, 4)))
+        for policy in (CPPLPolicy(2, rng), MMPolicy(4)):
+            state = policy.state
+            with pytest.raises(ValueError, match=message):
+                policy.update(feedback, (0, 1), context)
+            assert policy.state is state
 
     def test_mm_policy_matches_mm_fit_on_same_history(self, rng):
         utils = UtilityVector.from_values([1.5, 1.0, 0.6, 1.1])
@@ -529,10 +543,9 @@ class TestPolicyInterface:
         history = []
         for _ in range(120):
             context = ContextMatrix(rng.uniform(size=(2, 4)))
-            policy.observe(context)
-            decision = policy.choose(2)
+            decision = policy.choose(context, 2)
             winner = sample_winner(utils, decision.subset, rng)
-            policy.update(WinnerFeedback(winner))
+            policy.update(WinnerFeedback(winner), decision.subset, context)
             history.append((decision.subset, WinnerFeedback(winner)))
         reference = record_all(MMState(weights=np.full(4, 0.25)), history)
         # Batch fit from cold start converges to the same fixed point.
@@ -543,8 +556,7 @@ class TestPolicyInterface:
 
     def test_all_choose_ops_return_k_distinct_members(self, rng):
         for policy in (MMPolicy(6),):
-            policy.observe(ContextMatrix(rng.uniform(size=(3, 6))))
-            decision = policy.choose(3)
+            decision = policy.choose(ContextMatrix(rng.uniform(size=(3, 6))), 3)
             assert len(set(decision.subset)) == 3
             assert all(0 <= i < 6 for i in decision.subset)
 
@@ -604,7 +616,7 @@ class TestCPPLPolicy:
                     cw = confidence_widths(policy.state, context, config.omega)
                     miss = np.abs(cw.utilities - utils.values) > cw.widths
                     uncovered += [(rep, t, int(i)) for i in np.flatnonzero(miss)]
-                policy.observe(context)
-                subset = policy.choose(config.k).subset
-                policy.update(sample_feedback(utils, subset, config.feedback, feedback_rng))
+                subset = policy.choose(context, config.k).subset
+                policy.update(sample_feedback(utils, subset, config.feedback, feedback_rng),
+                              subset, context)
         assert not uncovered
