@@ -167,12 +167,14 @@ def sgd_update(state: EstimatorState, obs: Observation) -> EstimatorState:
     state (every later CPPL round) takes the gradient and the Hessian's
     factors from one stage pass at the average and moves ``S_accum_inv``
     by one Woodbury step (see ``_woodbury_step``): two stage passes, and
-    no d x d Hessian is formed.
+    no d x d Hessian is formed.  A non-finite average raises ``OverflowError``.
     """
     t_new = state.t + 1
     step = state.gamma1 * t_new ** (-state.alpha)
     theta_hat = state.theta_hat + step * grad_loglik(state.theta_hat, obs)
     theta_bar = ((t_new - 1) * state.theta_bar + theta_hat) / t_new
+    if not np.isfinite(theta_bar).all():
+        raise OverflowError("SGD estimate overflowed; lower gamma1 or rescale the features")
     if state.S_accum_inv is None:
         g = grad_loglik(theta_bar, obs)
         curvature = {"S_accum": state.S_accum + hessian_loglik(theta_bar, obs)}

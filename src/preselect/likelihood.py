@@ -13,8 +13,10 @@ taken (masked in log space, so nothing overflows).  Then
 
     loglik = sum_i l_(i) - sum_i lognorm_i
     grad   = sum_i x_(i) - X (column sums of P)
-    hess   = (X P^T)(X P^T)^T - X diag(column sums of P) X^T
-           = X C X^T,  C = P^T P - diag(column sums of P)  (k x k)
+    hess   = X C X^T,  C = P^T P - diag(column sums of P)  (k x k)
+
+The Hessian is computed as ``X C X^T``, from the factors the carried
+estimator path hands to its Woodbury step (``_factors``).
 """
 
 from __future__ import annotations
@@ -120,25 +122,22 @@ def grad_loglik(theta: np.ndarray, obs: Observation) -> np.ndarray:
 
 
 def hessian_loglik(theta: np.ndarray, obs: Observation) -> np.ndarray:
-    """Hessian of the log-likelihood; symmetric negative semi-definite."""
-    feats, _, _, probs = _stage_terms(theta, obs)
-    means = feats @ probs.T
-    hess = means @ means.T - (feats * probs.sum(axis=0)) @ feats.T
+    """Hessian of the log-likelihood, ``X C X^T`` symmetrized; negative semi-definite."""
+    feats, core, _ = _factors(theta, obs)
+    hess = feats @ core @ feats.T
     return (hess + hess.T) / 2.0
 
 
-def _grad_and_factors(
-    theta: np.ndarray, obs: Observation
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``grad_loglik(theta, obs)`` and the pair (X, C) with Hessian ``X C X^T``, from one stage pass.
-
-    X is the d x k block of stage-ordered subset columns and C the k x k
-    core ``P^T P - diag(column sums of P)``; C is singular (C 1 = 0), so
-    a low-rank update built on it must not invert it.  The gradient is
-    ``grad_loglik``'s ``_grad`` on the same terms, so it is bit-identical.
-    """
-    feats, _, lognorm, probs = _stage_terms(theta, obs)
+def _factors(theta: np.ndarray, obs: Observation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X, the (singular) core C with Hessian ``X C X^T``, and the column sums of P."""
+    feats, _, _, probs = _stage_terms(theta, obs)
     col_sums = probs.sum(axis=0)
     core = probs.T @ probs
     core.flat[:: core.shape[0] + 1] -= col_sums  # the diagonal, without index arrays
-    return _grad(feats, lognorm.size, col_sums), feats, core
+    return feats, core, col_sums
+
+
+def _grad_and_factors(theta: np.ndarray, obs: Observation) -> tuple[np.ndarray, ...]:
+    """``grad_loglik(theta, obs)``, bit-identical, and the X and C of ``_factors``: one pass."""
+    feats, core, col_sums = _factors(theta, obs)
+    return _grad(feats, len(obs.stages), col_sums), feats, core

@@ -16,7 +16,9 @@ Every function is pure; random sampling takes a caller-owned
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -215,42 +217,35 @@ def prob_top_rank(utilities: UtilityVector, subset: Sequence[int], arm: int) -> 
     return float(np.exp(utilities.log_values[int(arm)] - _suffix_log_normalizers(logs)[0]))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - np.max(logits))
-    return shifted / shifted.sum()
+def _draw_stages(
+    utilities: UtilityVector, subset: Sequence[int], stages: int, rng: np.random.Generator
+) -> list[int]:
+    """The first ``stages`` arms of a PL ranking of ``subset``, best first, one uniform each.
 
-
-def _categorical(probs: np.ndarray, rng: np.random.Generator) -> int:
-    # Inverse-CDF draw consuming exactly one uniform per call.
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    return min(idx, probs.size - 1)
+    Each stage weighs the remaining arms by ``exp(l - max l)`` and takes the first whose
+    cumulative weight exceeds ``u * total``; the uniforms are one ``rng.random(stages)``.
+    """
+    remaining = list(_check_subset(subset, len(utilities)))
+    logs = utilities.log_values[remaining].tolist()
+    picked = []
+    for u in rng.random(stages).tolist():
+        top = max(logs)
+        cum = list(accumulate(math.exp(log - top) for log in logs))
+        i = bisect_right(cum, u * cum[-1])
+        picked.append(remaining.pop(i))
+        del logs[i]
+    return picked
 
 
 def sample_partial_ranking(
     utilities: UtilityVector, subset: Sequence[int], rng: np.random.Generator
 ) -> Ranking:
-    """Draw a full ranking of ``subset`` from the PL model.
-
-    Sequential categorical selection: the next-best arm is sampled from
-    the remaining ones with probabilities proportional to their
-    utilities, which realizes the closed-form partial-ranking
-    distribution exactly.
-    """
-    members = _check_subset(subset, len(utilities))
-    remaining = list(members)
-    ordering = []
-    for _ in range(len(remaining)):
-        logs = utilities.log_values[remaining]
-        idx = _categorical(_softmax(logs), rng)
-        ordering.append(remaining.pop(idx))
-    return Ranking(ordering)
+    """Draw a full ranking of ``subset`` exactly from the PL model: one stage per arm."""
+    return Ranking(_draw_stages(utilities, subset, len(subset), rng))
 
 
 def sample_winner(
     utilities: UtilityVector, subset: Sequence[int], rng: np.random.Generator
 ) -> int:
-    """Draw the top-ranked arm of ``subset`` from the PL top-rank marginal."""
-    members = _check_subset(subset, len(utilities))
-    logs = utilities.log_values[list(members)]
-    return members[_categorical(_softmax(logs), rng)]
+    """Draw the top-ranked arm of ``subset``: the first stage of a ranking."""
+    return _draw_stages(utilities, subset, 1, rng)[0]

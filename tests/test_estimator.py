@@ -129,6 +129,14 @@ class TestSgdUpdate:
         with pytest.raises(ValueError):
             sgd_update(state, winner_obs(rng, 4, 5, 3))
 
+    def test_overflowing_average_raises(self, rng):
+        # (t - 1) * theta_bar overflows; a NaN or inf estimate is not returned.
+        state = replace(EstimatorState.init(2, rng), theta_bar=np.full(2, 1e308), t=4)
+        with np.errstate(over="ignore"), pytest.raises(
+            OverflowError, match="SGD estimate overflowed; lower gamma1"
+        ):
+            sgd_update(state, winner_obs(rng, 2, 4, 3))
+
     def test_longer_run_improves_estimate(self):
         # Consistency smoke: the averaged iterate approaches the hidden parameter.
         theta_star = np.array([0.9, 0.1, 0.5])

@@ -451,6 +451,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numeric failure: repetition 0 failed: round 3: boom" in err
 
+    @pytest.mark.parametrize("feedback", ["winner", "ranking"])
+    @pytest.mark.parametrize("policy", ["egreedy", "maxtheta"])
+    def test_overflowing_sgd_estimate_exits_three(self, tmp_path, capsys, policy, feedback):
+        args = ["synthetic", "--policy", policy, "--feedback", feedback, "--T", "50",
+                "--reps", "1", "--out", str(tmp_path / "x.csv")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli_main(args + ["--gamma1", "1e308"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: repetition 0 failed: round " in err
+        assert "SGD estimate overflowed; lower gamma1" in err
+        assert not (tmp_path / "x.csv").exists()
+        # A large step that keeps the estimate finite still runs.
+        assert cli_main(args + ["--gamma1", "1e300"]) == 0
+
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         code = cli_main(["synthetic", "--T", "5", "--reps", "1", "--seed", "-1",
                          "--out", str(tmp_path / "x.csv")])

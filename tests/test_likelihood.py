@@ -19,7 +19,7 @@ from preselect import (
     prob_partial_ranking,
     prob_top_rank,
 )
-from preselect.likelihood import _grad_and_factors
+from preselect.likelihood import _grad_and_factors, _stage_terms
 from preselect.selfcheck import fd_gradient, fd_hessian, random_observation
 
 
@@ -238,6 +238,27 @@ class TestHessian:
             hess = hessian_loglik(rng.uniform(size=d), obs)
             assert np.max(np.abs(hess - hess.T)) < 1e-12
             assert np.linalg.eigvalsh(hess).max() <= 1e-10
+
+
+def means_hessian(theta, obs):
+    """Reference Hessian in the means form: ``M M^T - X diag(colsums P) X^T``, M = X P^T."""
+    feats, _, _, probs = _stage_terms(theta, obs)
+    means = feats @ probs.T
+    hess = means @ means.T - (feats * probs.sum(axis=0)) @ feats.T
+    return (hess + hess.T) / 2.0
+
+
+class TestHessianMeansOracle:
+    @pytest.mark.parametrize("mode", ["winner", "ranking"])
+    @pytest.mark.parametrize("d", [2, 5, 80])
+    def test_factored_form_matches_means_form(self, mode, d):
+        rng = np.random.default_rng(606 + d)
+        for _ in range(50):
+            size = int(rng.integers(1, 9))
+            obs = random_observation(rng, d, size + 3, size, mode)
+            theta = rng.normal(size=d) / np.sqrt(d)
+            got, want = hessian_loglik(theta, obs), means_hessian(theta, obs)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestFusedGradientAndFactors:

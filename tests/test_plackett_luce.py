@@ -261,6 +261,16 @@ class TestSampling:
         # or inverts the utilities misses by more than 0.4.
         assert winner_deviation(np.random.default_rng(3), 100000, (0.5, 1.0, 2.0, 4.0)) <= 0.008
 
+    def test_zero_weight_arm_is_never_drawn(self):
+        # exp(-800) underflows to 0; even u = 0 must pass over it (bisect right).
+        class ZeroUniforms:
+            def random(self, size):
+                return np.zeros(size)
+
+        v = UtilityVector(np.array([-800.0, 0.0]))
+        assert sample_winner(v, (0, 1), ZeroUniforms()) == 1
+        assert sample_partial_ranking(v, (0, 1), ZeroUniforms()).ordering == (1, 0)
+
     def test_winner_determinism(self):
         v = UtilityVector.from_values([1.0, 2.0, 3.0])
         seq1 = [sample_winner(v, (0, 1, 2), np.random.default_rng(5)) for _ in range(1)]
@@ -268,6 +278,68 @@ class TestSampling:
         seq_a = [sample_winner(v, (0, 1, 2), rng_a) for _ in range(50)]
         seq_b = [sample_winner(v, (0, 1, 2), rng_b) for _ in range(50)]
         assert seq_a == seq_b
+
+
+def oracle_categorical(logits, rng):
+    """Reference stage draw in numpy, one ``rng.random()`` per call.
+
+    Softmax shifted by the stage's maximum, then an inverse-CDF draw on
+    the normalized cumulative sum.
+    """
+    shifted = np.exp(logits - np.max(logits))
+    probs = shifted / shifted.sum()
+    cum = np.cumsum(probs)
+    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    return min(idx, probs.size - 1)
+
+
+def oracle_ranking(utilities, subset, rng):
+    remaining = sorted(subset)
+    ordering = []
+    for _ in range(len(remaining)):
+        ordering.append(remaining.pop(oracle_categorical(utilities.log_values[remaining], rng)))
+    return tuple(ordering)
+
+
+def oracle_winner(utilities, subset, rng):
+    members = sorted(subset)
+    return members[oracle_categorical(utilities.log_values[members], rng)]
+
+
+ORACLE_LOG_UTILITIES = {
+    "uniform": lambda rng, n: np.zeros(n),
+    "normal": lambda rng, n: rng.normal(size=n),
+    # Ties at the extremes: every -700 arm weighs exactly 0 beside a +700 one.
+    "plus-minus-700": lambda rng, n: rng.choice([-700.0, 700.0], size=n),
+    # Gaps past 745 underflow a shifted weight to 0 until its stage comes.
+    "spread-700": lambda rng, n: rng.uniform(-700.0, 700.0, size=n),
+}
+
+
+class TestSamplerOracle:
+    """Both samplers against the per-stage numpy oracle on twin generators.
+
+    Each case makes 10,000 draws on random subsets of 12 arms, of sizes 1
+    to 8 in turn.  The samplers must return what the oracle returns and
+    leave the stream where it does: one uniform per stage, so the next
+    ``rng.random()`` agrees after each draw.
+    """
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE_LOG_UTILITIES))
+    @pytest.mark.parametrize("sampler, oracle", [
+        (lambda *a: sample_partial_ranking(*a).ordering, oracle_ranking),
+        (sample_winner, oracle_winner),
+    ], ids=["ranking", "winner"])
+    def test_matches_oracle_draw_for_draw(self, kind, sampler, oracle):
+        setup = np.random.default_rng(17)
+        orders = setup.random((10_000, 12)).argsort(axis=1).tolist()
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        for draw, order in enumerate(orders):
+            if draw % 50 == 0:
+                utils = UtilityVector(ORACLE_LOG_UTILITIES[kind](setup, 12))
+            subset = order[: draw % 8 + 1]
+            assert sampler(utils, subset, rng) == oracle(utils, subset, twin)
+            assert rng.random() == twin.random()
 
 
 def subset_entries():
