@@ -82,7 +82,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 values = json.load(fh)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config}: not UTF-8 text: {exc}") from exc
@@ -92,6 +92,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"{args.config}: expected a JSON object, not a list or value")
         values.pop("environment", None)  # the subcommand decides
         if "lambda" in values:
+            if "lam" in values:
+                raise ConfigError(f"{args.config}: give lam or lambda, not both")
             values["lam"] = values.pop("lambda")
     for key in (f.name for f in dataclasses.fields(ExperimentConfig)):
         flag = getattr(args, key, None)  # None for environment: no flag

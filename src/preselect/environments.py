@@ -318,7 +318,7 @@ class AlgoSelectEnvironment:
 
 def _read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Header and nonblank rows (at least one) of a CSV file, each row with its 1-based line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -330,6 +330,22 @@ def _read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return header, rows
+
+
+def _read_keyed(path: str | Path, nonnegative: bool = False) -> tuple[list[str], np.ndarray]:
+    """The ids and the float cells of a CSV whose first column is ``instance_id``.
+
+    Files are aligned by id, so an id on two lines is an error naming both.
+    """
+    header, rows = _read_csv(path)
+    if header[:1] != ["instance_id"]:
+        raise ValueError(f"{path}: first column must be instance_id")
+    lines: dict[str, int] = {}
+    for line, row in rows:
+        if lines.setdefault(row[0], line) != line:
+            raise ValueError(f"{path}: instance_id {row[0]!r} repeated "
+                             f"on lines {lines[row[0]]} and {line}")
+    return list(lines), _float_matrix(path, header, rows, skip=1, nonnegative=nonnegative)
 
 
 def _float_matrix(
@@ -371,34 +387,23 @@ def load_runtime_table(
     """Load a runtime table from CSV files.
 
     ``runtimes_path``: header ``instance_id,solver_0,...,solver_{m-1}``,
-    one row per instance.  ``instance_features_path``: header
-    ``instance_id,f0,...,f{p-1}``, aligned to the runtime rows by
-    instance_id.  ``solver_features_path``: columns ``alpha,rho,ps,wp``;
-    defaults to the bundled solver parametrization fixture.
+    one row per instance, each id on one row only.
+    ``instance_features_path``: header ``instance_id,f0,...,f{p-1}``,
+    with the same ids in the same order.  ``solver_features_path``:
+    columns ``alpha,rho,ps,wp``; defaults to the bundled solver
+    parametrization fixture.
     """
-    rt_header, rt_rows = _read_csv(runtimes_path)
-    if not rt_header or rt_header[0] != "instance_id":
-        raise ValueError(f"{runtimes_path}: first column must be instance_id")
-    ids = [row[0] for _, row in rt_rows]
-    runtimes = _float_matrix(runtimes_path, rt_header, rt_rows, skip=1, nonnegative=True)
-
-    if_header, if_rows = _read_csv(instance_features_path)
-    if not if_header or if_header[0] != "instance_id":
-        raise ValueError(f"{instance_features_path}: first column must be instance_id")
-    feat_ids = [row[0] for _, row in if_rows]
+    ids, runtimes = _read_keyed(runtimes_path, nonnegative=True)
+    feat_ids, feats = _read_keyed(instance_features_path)
     if feat_ids != ids:
-        raise ValueError(
-            "instance_id mismatch between runtime and instance-feature files"
-        )
-    feats = _float_matrix(instance_features_path, if_header, if_rows, skip=1)
-
+        raise ValueError("instance_id mismatch between runtime and instance-feature files")
     if solver_features_path is None:
         solver = bundled_solver_features()
     else:
         solver = load_solver_features(solver_features_path)
-    if solver.shape[0] != len(rt_header) - 1:
+    if solver.shape[0] != runtimes.shape[1]:
         source = solver_features_path or "the bundled solver features"
-        raise ValueError(f"{runtimes_path} has {len(rt_header) - 1} solver columns, "
+        raise ValueError(f"{runtimes_path} has {runtimes.shape[1]} solver columns, "
                          f"but {source} has {solver.shape[0]} solver rows")
     return RuntimeTable(runtimes=runtimes, instance_features=feats, solver_features=solver)
 

@@ -6,6 +6,9 @@ each step its inputs:
     decision = policy.choose(context, k)                 # pick k distinct arms
     policy.update(feedback, decision.subset, context)    # learn from their feedback
 
+``update`` passes its inputs to the learner's public step: CPPL builds the
+``Observation`` that ``sgd_update`` reads; MM is ``mm_fit(state.record(subset, feedback))``.
+
 Because the objective ``sum of per-arm scores`` is separable, the argmax
 over fixed-size subsets reduces to taking the top-k arms by score; ties
 break toward the lowest arm index so traces are reproducible.
@@ -102,7 +105,6 @@ def cppl_choose(
 # ---------------------------------------------------------------------------
 
 _WEIGHT_FLOOR = 1e-12  # the weight of every dominated arm
-_MAX_SWEEPS, _TOL = 100, 1e-8  # mm_fit's defaults, which MMPolicy refits with
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,9 @@ class MMState:
 
     ``reach`` defaults to the identity, the closure of no stages, so it
     must be given with a nonempty ``set_counts``.
+
+    ``_restriction`` is ``mm_fit``'s cache (see ``_Restriction``), not a
+    statistic: no constructor takes it, and equality ignores it.
     """
 
     weights: np.ndarray
@@ -136,6 +141,7 @@ class MMState:
     set_counts: dict[tuple[int, ...], int] = field(default_factory=dict)
     observations: int = 0
     reach: np.ndarray | None = None
+    _restriction: _Restriction | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -171,39 +177,32 @@ class MMState:
         """Add one observation's stages to the statistics; weights are unchanged."""
         subset = _check_subset(subset, self.n)
         _check_feedback(subset, feedback)
-        return _recorded(self, subset, feedback)
-
-
-def _recorded(state: MMState, subset: tuple[int, ...], feedback: Feedback) -> MMState:
-    """``state`` plus the stages of one checked observation."""
-    if isinstance(feedback, WinnerFeedback):
-        stages = [(subset, feedback.arm)]
-    else:
-        ordering = feedback.ranking.ordering
-        stages = [(ordering[i:], ordering[i]) for i in range(len(ordering) - 1)]
-    wins = state.wins.copy()
-    set_counts = dict(state.set_counts)
-    for remaining, winner in stages:
-        wins[winner] += 1
-        key = tuple(sorted(remaining))
-        set_counts[key] = set_counts.get(key, 0) + 1
-    # Stage i's edges run from its winner to every arm remaining: whatever
-    # reaches the winner now reaches whatever those arms reach.  Taken
-    # last stage first, each stage's remaining arms are the next one's
-    # plus its winner, so one running union covers them all.
-    reach = state.reach
-    if stages:
-        target = reach[list(stages[-1][0])].any(axis=0)
-    for _, winner in reversed(stages):
-        target |= reach[winner]
-        if (target > reach[winner]).any():
-            if reach is state.reach:
-                reach = reach.copy()
-            reach |= np.outer(reach[:, winner], target)
-    return _advance(
-        state, wins=wins, set_counts=set_counts, reach=reach,
-        observations=state.observations + 1,
-    )
+        if isinstance(feedback, WinnerFeedback):
+            stages = [(subset, feedback.arm)]
+        else:
+            ordering = feedback.ranking.ordering
+            stages = [(ordering[i:], ordering[i]) for i in range(len(ordering) - 1)]
+        wins = self.wins.copy()
+        set_counts = dict(self.set_counts)
+        for remaining, winner in stages:
+            wins[winner] += 1
+            key = tuple(sorted(remaining))
+            set_counts[key] = set_counts.get(key, 0) + 1
+        # Stage i's edges run from its winner to every arm remaining:
+        # whatever reaches the winner now reaches whatever those arms
+        # reach.  Taken last stage first, each stage's remaining arms are
+        # the next one's plus its winner, so one running union covers them all.
+        reach = self.reach
+        if stages:
+            target = reach[list(stages[-1][0])].any(axis=0)
+        for _, winner in reversed(stages):
+            target |= reach[winner]
+            if (target > reach[winner]).any():
+                if reach is self.reach:
+                    reach = reach.copy()
+                reach |= np.outer(reach[:, winner], target)
+        return _advance(self, wins=wins, set_counts=set_counts, reach=reach,
+                        observations=self.observations + 1)
 
 
 class _Restriction(NamedTuple):
@@ -211,8 +210,8 @@ class _Restriction(NamedTuple):
 
     Built for one ``reach`` array and the first ``len(incidence)`` keys of
     ``set_counts``; ``_restrict`` reuses it while neither changes.  A state
-    carries the one it was last fitted on in ``__dict__["_restriction"]``,
-    outside its fields, and ``_advance`` passes it on.
+    carries the one it was last fitted on in its ``_restriction`` field,
+    and ``_advance`` passes it on.
     """
 
     reach: np.ndarray
@@ -226,7 +225,7 @@ class _Restriction(NamedTuple):
 
 def _restrict(state: MMState) -> _Restriction:
     """The free arms and their sets, rebuilt only when ``reach`` or the set list changed."""
-    old = state.__dict__.get("_restriction")
+    old = state._restriction
     sets = state.set_counts
     incidence = None if old is None else old.incidence
     if incidence is None or len(incidence) < len(sets):
@@ -250,7 +249,7 @@ def _restrict(state: MMState) -> _Restriction:
     return _Restriction(reach, incidence, free, rows, restricted[rows], fixed, 1.0 - fixed.sum())
 
 
-def mm_fit(state: MMState, max_iters: int = _MAX_SWEEPS, tol: float = _TOL) -> MMState:
+def mm_fit(state: MMState, max_iters: int = 100, tol: float = 1e-8) -> MMState:
     """Fit context-free PL weights to the recorded stages (Hunter's MM iteration).
 
     Dominated arms go to ``_WEIGHT_FLOOR`` and unseen arms to 1/n in
@@ -274,12 +273,6 @@ def mm_fit(state: MMState, max_iters: int = _MAX_SWEEPS, tol: float = _TOL) -> M
     """
     if not state.observations:
         raise ValueError("cannot fit with an empty history")
-    weights, restriction = _fit(state, max_iters, tol)
-    return _advance(state, weights=weights, _restriction=restriction)
-
-
-def _fit(state: MMState, max_iters: int, tol: float) -> tuple[np.ndarray, _Restriction]:
-    """``mm_fit``'s weights and the restriction they were fitted on."""
     r = _restrict(state)
     weights = r.fixed.copy()
     if r.free.size:
@@ -289,7 +282,7 @@ def _fit(state: MMState, max_iters: int, tol: float) -> tuple[np.ndarray, _Restr
             w * (r.mass / w.sum()), state.wins[r.free].astype(float), r.A, m[r.rows],
             r.mass, max_iters, tol,
         )
-    return weights, r
+    return _advance(state, weights=weights, _restriction=r)
 
 
 def _squarem(w, wins, A, m, mass, max_iters, tol):
@@ -340,20 +333,22 @@ class Policy(ABC):
     """Per-round protocol: choose(context, k) -> update(feedback, subset, context).
 
     A policy holds only its learner state; the caller keeps the round's
-    context and the chosen subset and passes them back to ``update``.
+    context and the chosen subset and passes them back to ``update``,
+    which passes all three to the subclass's ``_update``.  Subclasses
+    override ``_choose`` and ``_update``, never ``choose`` or ``update``.
     """
 
     def choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
         return self._choose(context, k)
 
     def update(self, feedback: Feedback, subset: tuple[int, ...], context: ContextMatrix) -> None:
-        self._update(Observation(feedback=feedback, subset=subset, context=context))
+        self._update(feedback, subset, context)
 
     @abstractmethod
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision: ...
 
     @abstractmethod
-    def _update(self, obs: Observation) -> None: ...
+    def _update(self, feedback, subset, context) -> None: ...
 
 
 class CPPLPolicy(Policy):
@@ -374,8 +369,8 @@ class CPPLPolicy(Policy):
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
         return cppl_choose(self.state, context, k, self.omega)
 
-    def _update(self, obs: Observation) -> None:
-        self.state = sgd_update(self.state, obs)
+    def _update(self, feedback, subset, context) -> None:
+        self.state = sgd_update(self.state, Observation(feedback, subset, context))
         # Only widths read the covariance, so only omega > 0 carries the inverse.
         if self.omega > 0 and self.state.S_accum_inv is None:
             self.state = _attach_inverse(self.state)
@@ -403,8 +398,10 @@ class EpsilonGreedyPolicy(CPPLPolicy):
 class MMPolicy(Policy):
     """Context-free baseline: refit MM weights each round, play top-k greedily.
 
-    Each round records its stages and refits with ``mm_fit``'s defaults,
-    warm-started from the previous weights.  A sweep passes once over the
+    A round is ``mm_fit(state.record(subset, feedback))``: ``record``
+    checks the subset and feedback and adds their stages, and ``mm_fit``
+    refits with its defaults, warm-started from the previous weights.
+    The context is not read.  A sweep passes once over the
     distinct remaining-sets that hold a free arm (see ``MMState``),
     however many rounds came before.
     """
@@ -415,11 +412,5 @@ class MMPolicy(Policy):
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
         return PolicyDecision(top_k_subset(self.state.weights, k))
 
-    def _update(self, obs: Observation) -> None:
-        # ``mm_fit(state.record(...))`` as one new state: ``Observation``
-        # has checked the subset and feedback, and no caller has seen the
-        # recorded state, so its weights are set in place.
-        state = _recorded(self.state, obs.subset, obs.feedback)
-        weights, restriction = _fit(state, _MAX_SWEEPS, _TOL)
-        state.__dict__.update(weights=weights, _restriction=restriction)
-        self.state = state
+    def _update(self, feedback, subset, context) -> None:
+        self.state = mm_fit(self.state.record(subset, feedback))

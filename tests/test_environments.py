@@ -298,6 +298,16 @@ class TestCsvLoading:
         with pytest.raises(ValueError):
             load_runtime_table(rt, fi, sf)
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["runtimes", "features"])
+    def test_repeated_id_names_file_id_and_both_lines(self, tmp_path, which):
+        rt, fi, sf = self._write_files(tmp_path)
+        path = (rt, fi)[which]
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[2]]) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "
+                           r"instance_id 'b' repeated on lines 3 and 5$"):
+            load_runtime_table(rt, fi, sf)
+
     @pytest.mark.parametrize("which", [0, 1, 2], ids=["runtimes", "features", "solvers"])
     def test_header_only_file_names_file(self, tmp_path, capsys, which):
         files = self._write_files(tmp_path)

@@ -1,4 +1,4 @@
-"""Golden outputs: the sha256 of the regret CSV for four small pinned configs.
+"""Golden outputs: the sha256 of the regret CSV for seven small pinned configs.
 
 Each config is the synthetic world at n=20, d=5, k=5, T=300, 2
 repetitions, seed 0.  A change that should leave every output
@@ -10,7 +10,7 @@ The hashes hold for Python 3.11 with numpy 2.4 on OpenBLAS 0.3.31
 (scipy-openblas, x86_64 Haswell kernels).  Another numpy or BLAS may
 round differently and fail these tests without any fault in the code.
 A change that is allowed to move numbers re-pins them and says so in
-CHANGES.md.  The mm hash pins the MM refit's rule: arms beaten by arms
+CHANGES.md.  The mm hashes pin the MM refit's rule: arms beaten by arms
 they never beat back sit at the weight floor in closed form, unseen
 arms at 1/n, and only the rest are swept, with SQUAREM steps; the fit
 stops at the first sweep that moves no weight by 1e-8 (ROADMAP item 7).
@@ -32,6 +32,9 @@ GOLDEN = {
     ("egreedy", "winner"): "92593b65363ada3a7cd7cf26ce2d9790d6ac4a87930b4b92cef3c7504a4ce895",
     ("mm", "winner"): "16b1b4333278012a08aa2da568b782f8152bb145d77e25d747d7c9e3fdf6c3aa",
     ("cppl", "ranking"): "22ed1f8cdbd3be1e5a3e955f4e83dabab84b760df13451329247bd6d61a74bc5",
+    ("mm", "ranking"): "6c7cbbe1f4deab3fa18e948f5cbb673bc622903d1148fe815ad2ccf863c11ec1",
+    ("egreedy", "ranking"): "d2b584bef88b917b2026a39a941f27a716a8e45ed4429b53cbf5a3f3e6e8c87b",
+    ("maxtheta", "winner"): "3382b8aa654d5b67cd9fe86d6cfbf6061d44c67dbe9b046968f019614dcee424",
 }
 
 

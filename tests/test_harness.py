@@ -49,7 +49,7 @@ class OraclePolicy(Policy):
         rest = [i for i in range(context.n) if i != best][: k - 1]
         return PolicyDecision(tuple(sorted([best] + rest)))
 
-    def _update(self, obs):
+    def _update(self, feedback, subset, context):
         pass
 
 
@@ -66,7 +66,7 @@ class FailingPolicy(Policy):
             raise ValueError("boom")
         return PolicyDecision(tuple(range(k)))
 
-    def _update(self, obs):
+    def _update(self, feedback, subset, context):
         pass
 
 
@@ -79,7 +79,7 @@ class FixedSubsetPolicy(Policy):
     def _choose(self, context, k):
         return PolicyDecision(self.subset)
 
-    def _update(self, obs):
+    def _update(self, feedback, subset, context):
         pass
 
 
@@ -538,6 +538,67 @@ class TestCli:
         assert cli_main(argv) == 1
         assert f"configuration error: {bad}: not UTF-8 text" in capsys.readouterr().err
         assert calls == []
+
+    def test_repeated_instance_id_exits_one_before_round_one(self, tmp_path, capsys, monkeypatch):
+        # 30 rows over 10 ids, with the two feature rows keyed i0 swapped:
+        # the id lists still compare equal, so only a distinct-id rule
+        # stops the wrong features from reaching instance i0.
+        calls = []
+        real = preselect.harness.run_repetition
+        monkeypatch.setattr(preselect.harness, "run_repetition",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        ids = [f"i{j % 10}" for j in range(30)]
+        rt, fi = tmp_path / "rt.csv", tmp_path / "fi.csv"
+        rt.write_text("instance_id,solver_0,solver_1,solver_2\n"
+                      + "".join(f"{i},0.{j % 9 + 1},0.2,0.3\n" for j, i in enumerate(ids)))
+        feats = [f"{i},{j / 30},{j % 7}" for j, i in enumerate(ids)]
+        feats[0], feats[10] = feats[10], feats[0]
+        fi.write_text("instance_id,f0,f1\n" + "\n".join(feats) + "\n")
+        (tmp_path / "sf.csv").write_text(
+            "alpha,rho,ps,wp\n1.0,0.5,0.2,0.1\n1.5,0.6,0.3,0.2\n0.8,0.4,0.6,0.3\n")
+        out = tmp_path / "x.csv"
+        code = cli_main(["algoselect", "--k", "2", "--T", "5", "--reps", "1",
+                         "--runtimes", str(rt), "--instance-features", str(fi),
+                         "--solver-features", str(tmp_path / "sf.csv"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {rt}: instance_id 'i0' repeated on lines 2 and 12" in err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("flag", [
+        "--config", "--runtimes", "--instance-features", "--solver-features",
+    ])
+    def test_utf8_byte_order_mark_is_ignored(self, tmp_path, flag):
+        rng = np.random.default_rng(3)
+        (tmp_path / "rt.csv").write_text("instance_id,solver_0,solver_1,solver_2\n" + "".join(
+            f"i{j}," + ",".join(f"{v:.3f}" for v in rng.uniform(0, 0.5, 3)) + "\n"
+            for j in range(8)))
+        (tmp_path / "fi.csv").write_text("instance_id,f0,f1\n" + "".join(
+            f"i{j},{rng.uniform():.3f},{rng.uniform():.3f}\n" for j in range(8)))
+        (tmp_path / "sf.csv").write_text(
+            "alpha,rho,ps,wp\n1.0,0.5,0.2,0.1\n1.5,0.6,0.3,0.2\n0.8,0.4,0.6,0.3\n")
+        (tmp_path / "cfg.json").write_text('{"T": 6, "reps": 2, "k": 2, "policy": "cppl"}')
+        paths = {"--config": "cfg.json", "--runtimes": "rt.csv",
+                 "--instance-features": "fi.csv", "--solver-features": "sf.csv"}
+        argv = ["algoselect", "--seed", "4"]
+        for name, file in paths.items():
+            argv += [name, str(tmp_path / file)]
+        assert cli_main(argv + ["--out", str(tmp_path / "plain.csv")]) == 0
+        bom = tmp_path / paths[flag]
+        bom.write_bytes(b"\xef\xbb\xbf" + bom.read_bytes())
+        assert cli_main(argv + ["--out", str(tmp_path / "bom.csv")]) == 0
+        assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_config_with_lam_and_lambda_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "x.csv"
+        cfg.write_text(json.dumps({"T": 5, "reps": 1, "lam": 1.0, "lambda": 2.0}))
+        assert cli_main(["synthetic", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (f"configuration error: {cfg}: give lam or lambda, not both"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        cfg.write_text(json.dumps({"T": 5, "reps": 1, "lam": 1.0}))
+        assert cli_main(["synthetic", "--config", str(cfg), "--out", str(out)]) == 0
 
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -474,7 +474,8 @@ class TestMMState:
 
     def test_policy_update_builds_one_unchecked_state(self, monkeypatch):
         # The constructor's checks run where a state comes from outside;
-        # each MM round then builds exactly one new state, unchecked.
+        # each MM round then builds two new states unchecked, one in
+        # ``record`` and one in ``mm_fit``.
         policy = MMPolicy(4)
         built, checks = [], []
         original = policies._advance
@@ -485,7 +486,7 @@ class TestMMState:
         for t in range(5):
             subset = policy.choose(context, 2).subset
             policy.update(WinnerFeedback(subset[t % 2]), subset, context)
-        assert len(built) == 5 and not checks
+        assert len(built) == 10 and not checks
 
 
 def mm_choice(state, k):
