@@ -20,8 +20,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .harness import FEEDBACK_MODES, FORMATS, POLICIES, ConfigError, ExperimentConfig
 from .harness import _sidecar_path, emit_results, run_experiment
 from .selfcheck import run_all_checks
@@ -145,17 +143,13 @@ def main(argv: list[str] | None = None) -> int:
             f"over {config.reps} repetitions -> {config.out}"
         )
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OverflowError, FloatingPointError, ZeroDivisionError,
-            np.linalg.LinAlgError, RuntimeError) as exc:
+    except RuntimeError as exc:  # run_experiment wraps every failure inside the round loop
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -34,6 +34,7 @@ from .likelihood import Feedback, RankingFeedback, WinnerFeedback
 from .plackett_luce import (
     ContextMatrix,
     UtilityVector,
+    _check_int,
     _check_k,
     _check_setting,
     _check_subset,
@@ -62,13 +63,10 @@ CORRELATION_THRESHOLD = 0.95
 
 
 def _check_world_size(T: int, d: int | None = None) -> None:
-    """The one world-size rule: ``T >= 0`` rounds and, unless None, ``d >= 1`` features.
-
-    ``d`` is None for a world whose dimension comes from its data.
-    """
-    if d is not None and d < 1:
+    """The one world-size rule: integers ``T >= 0`` and ``d >= 1`` (d None: the data set it)."""
+    if d is not None and _check_int(d, "d") < 1:
         raise ValueError("d must be >= 1")
-    if T < 0:
+    if _check_int(T, "T") < 0:
         raise ValueError("T must be nonnegative")
 
 
@@ -85,6 +83,7 @@ class SyntheticScenario:
 
     def __post_init__(self):
         theta = np.asarray(self.theta_star, dtype=float)
+        _check_int(self.seed, "seed")
         _check_k(self.k, self.n)
         _check_world_size(self.T, self.d)
         if theta.shape != (self.d,):
@@ -184,8 +183,8 @@ def preprocess_features(raw: np.ndarray) -> tuple[np.ndarray, list[int]]:
     indices, in order.
     """
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[0] < 2:
-        raise ValueError("need a matrix with at least 2 rows")
+    if raw.ndim != 2 or raw.shape[0] < 2 or not np.isfinite(raw).all():
+        raise ValueError("need a matrix with at least 2 rows, all entries finite")
     lo, hi = raw.min(axis=0), raw.max(axis=0)
     span = hi - lo
     constant = span == 0
@@ -327,6 +326,8 @@ def _read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]
             raise ValueError(f"{path}: empty file") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return header, rows

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .likelihood import Observation, _grad_and_factors, grad_loglik, hessian_loglik
-from .plackett_luce import ContextMatrix, _check_setting, _check_theta
+from .plackett_luce import ContextMatrix, _check_int, _check_setting, _check_theta
 
 __all__ = [
     "EstimatorState",
@@ -93,6 +93,7 @@ class EstimatorState:
         V = np.asarray(self.V_accum, dtype=float)
         if S.shape != (d, d) or V.shape != (d, d):
             raise ValueError(f"{curvature} and V_accum must be d x d matrices")
+        object.__setattr__(self, "t", _check_int(self.t, "t"))
         if self.t < 0:
             raise ValueError("update counter must be nonnegative")
         for name in ("gamma1", "alpha"):
@@ -115,7 +116,7 @@ class EstimatorState:
         A test that needs a chosen starting point builds the state with
         the constructor instead.
         """
-        theta = rng.uniform(size=d)
+        theta = rng.uniform(size=_check_int(d, "d"))
         return cls(
             theta_hat=theta,
             theta_bar=theta.copy(),

@@ -43,7 +43,7 @@ from .environments import (
     load_runtime_table,
     sample_feedback,
 )
-from .plackett_luce import _SETTING_RULES, _check_k, _check_setting
+from .plackett_luce import _SETTING_RULES, _check_int, _check_k, _check_setting
 from .policies import CPPLPolicy, EpsilonGreedyPolicy, MMPolicy, Policy
 
 __all__ = [
@@ -65,10 +65,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _config_rule(check, *args) -> None:
-    """Run a shared input rule, re-raising its ``ValueError`` as ``ConfigError``."""
+def _config_rule(check, *args):
+    """A shared input rule's result, its ``ValueError`` re-raised as ``ConfigError``."""
     try:
-        check(*args)
+        return check(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -99,9 +99,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n", "d", "k", "T", "reps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, _config_rule(_check_int, getattr(self, name), name))
         if self.environment not in ENVIRONMENTS:
             raise ConfigError(f"unknown environment {self.environment!r}")
         if self.policy not in POLICIES:
@@ -281,34 +279,25 @@ def emit_results(result: AggregatedResult, path: str | Path, format: str = "csv"
     reproduces them exactly; everything except ``wall_time_s`` is
     byte-identical across runs with the same config and seed.
     """
+    if format not in FORMATS:
+        raise ValueError(f"unknown output format: {format!r}")
     path = Path(path)
+    doc = {
+        "config": result.config,
+        "rounds": list(range(1, result.T + 1)),
+        "mean_cum_regret": [float(v) for v in result.mean_cum_regret],
+        "stderr": [float(v) for v in result.stderr],
+        "final_regrets": [float(v) for v in result.final_regrets],
+        "wall_time_s": result.wall_time_s,
+    }
     if format == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["round", "mean_cum_regret", "stderr"])
-            for t in range(result.T):
-                writer.writerow(
-                    [t + 1, repr(float(result.mean_cum_regret[t])), repr(float(result.stderr[t]))]
-                )
-        sidecar = {
-            "config": result.config,
-            "final_regrets": [float(v) for v in result.final_regrets],
-            "wall_time_s": result.wall_time_s,
-        }
-        with open(_sidecar_path(path), "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    elif format == "json":
-        doc = {
-            "config": result.config,
-            "rounds": list(range(1, result.T + 1)),
-            "mean_cum_regret": [float(v) for v in result.mean_cum_regret],
-            "stderr": [float(v) for v in result.stderr],
-            "final_regrets": [float(v) for v in result.final_regrets],
-            "wall_time_s": result.wall_time_s,
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        raise ValueError(f"unknown output format: {format!r}")
+            for t, mean, se in zip(doc["rounds"], doc["mean_cum_regret"], doc["stderr"]):
+                writer.writerow([t, repr(mean), repr(se)])
+        doc = {key: doc[key] for key in ("config", "final_regrets", "wall_time_s")}
+        path = _sidecar_path(path)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plackett_luce import (
-    ContextMatrix, Ranking, _check_subset, _check_theta, _suffix_log_normalizers,
+    ContextMatrix, Ranking, _check_int, _check_subset, _check_theta, _suffix_log_normalizers,
 )
 
 __all__ = [
@@ -63,7 +63,7 @@ def _check_feedback(subset: tuple[int, ...], feedback: Feedback) -> None:
     ``subset`` must already be sorted and distinct (see ``_check_subset``).
     """
     if isinstance(feedback, WinnerFeedback):
-        if feedback.arm not in subset:
+        if _check_int(feedback.arm, "winner") not in subset:
             raise ValueError("winner must be a member of the subset")
     elif isinstance(feedback, RankingFeedback):
         if feedback.ranking.items != subset:

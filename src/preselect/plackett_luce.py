@@ -16,9 +16,10 @@ Every function is pure; random sampling takes a caller-owned
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Sequence
 
 import numpy as np
@@ -46,12 +47,7 @@ class Ranking:
     ordering: tuple[int, ...]
 
     def __post_init__(self):
-        ordering = tuple(int(a) for a in self.ordering)
-        if not ordering:
-            raise ValueError("ranking must cover at least one alternative")
-        if len(set(ordering)) != len(ordering):
-            raise ValueError("ranking must not repeat an alternative")
-        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "ordering", _distinct_ints(self.ordering, "ranking"))
 
     @property
     def items(self) -> tuple[int, ...]:
@@ -148,8 +144,21 @@ def _check_setting(name: str, value: float, label: str | None = None) -> None:
         raise ValueError(f"{label or name} must be {what}, got {value!r}")
 
 
+def _check_int(value: int, name: str) -> int:
+    """The one integer rule: a Python or numpy integer, not a bool, as a Python ``int``."""
+    if type(value) is int:  # the common case, first: subsets are checked 3 times a round
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_k(k: int, n: int) -> None:
-    """The one preselection-size rule: ``1 <= k < n``."""
+    """The one preselection-size rule: integers with ``1 <= k < n``."""
+    k, n = _check_int(k, "k"), _check_int(n, "n")
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n (got k={k}, n={n})")
 
@@ -162,13 +171,19 @@ def _check_theta(theta: np.ndarray, d: int) -> np.ndarray:
     return theta
 
 
+def _distinct_ints(values: Sequence[int], name: str) -> tuple[int, ...]:
+    """The steps a subset and a ranking share: integer members, at least one, distinct."""
+    ints = tuple(map(_check_int, values, repeat(f"{name} member")))
+    if not ints:
+        raise ValueError(f"{name} must be nonempty")
+    if len(set(ints)) != len(ints):
+        raise ValueError(f"{name} members must be distinct")
+    return ints
+
+
 def _check_subset(subset: Sequence[int], n: int) -> tuple[int, ...]:
-    """The one subset rule (nonempty, distinct, in [0, n)); returns the sorted ints."""
-    members = tuple(sorted(int(i) for i in subset))
-    if not members:
-        raise ValueError("subset must be nonempty")
-    if len(set(members)) != len(members):
-        raise ValueError("subset members must be distinct")
+    """The one subset rule (integers, nonempty, distinct, in [0, n)); returns them sorted."""
+    members = tuple(sorted(_distinct_ints(subset, "subset")))
     if members[0] < 0 or members[-1] >= n:
         raise ValueError(f"subset members must lie in [0, {n})")
     return members
@@ -211,10 +226,11 @@ def prob_partial_ranking(
 def prob_top_rank(utilities: UtilityVector, subset: Sequence[int], arm: int) -> float:
     """Probability that ``arm`` is ranked first among ``subset``."""
     members = _check_subset(subset, len(utilities))
-    if int(arm) not in members:
+    arm = _check_int(arm, "arm")
+    if arm not in members:
         raise ValueError(f"arm {arm} is not a member of the subset")
     logs = utilities.log_values[list(members)]
-    return float(np.exp(utilities.log_values[int(arm)] - _suffix_log_normalizers(logs)[0]))
+    return float(np.exp(utilities.log_values[arm] - _suffix_log_normalizers(logs)[0]))
 
 
 def _draw_stages(

@@ -46,7 +46,7 @@ from .estimator import (
     sgd_update,
 )
 from .likelihood import Feedback, Observation, WinnerFeedback, _check_feedback
-from .plackett_luce import ContextMatrix, _check_k, _check_setting, _check_subset
+from .plackett_luce import ContextMatrix, _check_int, _check_k, _check_setting, _check_subset
 
 __all__ = [
     "PolicyDecision",
@@ -76,8 +76,7 @@ def top_k_subset(scores: np.ndarray, k: int) -> tuple[int, ...]:
     """Indices of the k largest scores; ties break toward the lowest index."""
     scores = np.asarray(scores, dtype=float)
     _check_k(k, scores.size)
-    order = np.argsort(-scores, kind="stable")
-    return tuple(sorted(int(i) for i in order[:k]))
+    return tuple(sorted(np.argsort(-scores, kind="stable")[:k].tolist()))
 
 
 def cppl_choose(
@@ -167,7 +166,7 @@ class MMState:
 
     @classmethod
     def uniform(cls, n: int) -> "MMState":
-        return cls(weights=np.full(n, 1.0 / n))
+        return cls(weights=np.full(_check_int(n, "n"), 1.0 / n))
 
     @property
     def n(self) -> int:
@@ -391,7 +390,7 @@ class EpsilonGreedyPolicy(CPPLPolicy):
         greedy = cppl_choose(self.state, context, k, 0.0)
         if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
             subset = self.rng.choice(context.n, size=k, replace=False)
-            return PolicyDecision(tuple(sorted(int(i) for i in subset)))
+            return PolicyDecision(tuple(sorted(subset.tolist())))
         return greedy
 
 

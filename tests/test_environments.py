@@ -90,6 +90,14 @@ class TestSyntheticRound:
         scenario = make_scenario(rng)
         assert np.all((scenario.theta_star >= 0) & (scenario.theta_star <= 1))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 20.5), ("k", 2.0), ("d", True), ("seed", 1.5),
+    ])
+    def test_scenario_rejects_non_integer_size(self, field, value):
+        sizes = {"n": 6, "d": 3, "k": 2, "T": 50, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            SyntheticScenario(**sizes, theta_star=np.full(3, 0.5))
+
 
 class TestInstantRegret:
     def test_zero_when_best_arm_included(self):
@@ -183,6 +191,12 @@ class TestPreprocessing:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             preprocess_features(np.ones((1, 4)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_matrix(self, value):
+        # A NaN would otherwise steer the correlation pruning.
+        with pytest.raises(ValueError, match="all entries finite"):
+            preprocess_features([[0, 1, value], [1, 0, 2], [0.5, 0.5, 1]])
 
 
 def small_table(num_instances=30, num_solvers=4, p=5, seed=5):
@@ -383,6 +397,19 @@ class TestCsvLoading:
                          "--out", str(tmp_path / "out.csv")])
         assert code == 1
         assert expected in capsys.readouterr().err
+
+    def test_oversized_cell_names_file_and_line(self, tmp_path, capsys):
+        # csv's default field limit is 131,072 characters.
+        rt, fi, sf = self._write_files(tmp_path)
+        rt.write_text(f"instance_id,solver_0,solver_1\na,0.1,0.2\nb,0.2,{'9' * 200_000}\n"
+                      "c,0.3,0.4\n")
+        code = cli_main(["algoselect", "--k", "1", "--T", "2", "--runtimes", str(rt),
+                         "--instance-features", str(fi), "--solver-features", str(sf),
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"configuration error: {rt}: line 3: field larger than field limit" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_feature_names_file_and_line(self, tmp_path, value):

@@ -71,6 +71,15 @@ class TestState:
         with pytest.raises(ValueError):
             EstimatorState.init(3, rng, alpha=1.0)
 
+    @pytest.mark.parametrize("t", [1.0, 2.5, True])
+    def test_rejects_non_integer_update_count(self, rng, t):
+        with pytest.raises(ValueError, match=f"^t must be an integer, got {t!r}$"):
+            replace(EstimatorState.init(3, rng), t=t)
+
+    def test_stores_a_numpy_update_count_as_int(self, rng):
+        state = replace(EstimatorState.init(3, rng), t=np.int64(4))
+        assert state.t == 4 and type(state.t) is int
+
     @pytest.mark.parametrize("build", [EstimatorState.init, CPPLPolicy], ids=["state", "policy"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite_gamma1(self, rng, build, value):

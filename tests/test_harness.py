@@ -136,7 +136,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(environment="algoselect")
 
-    @pytest.mark.parametrize("d, T", [(0, 5), (3, -1)])
+    @pytest.mark.parametrize("d, T", [(0, 5), (3, -1), (3, 5.5)])
     def test_config_and_scenario_apply_the_same_world_size_rule(self, d, T):
         with pytest.raises(ValueError) as built:
             SyntheticScenario(n=6, d=d, k=2, T=T, theta_star=np.full(d, 0.5), seed=0)
@@ -342,6 +342,16 @@ class TestEmitResults:
         sidecar = json.loads((tmp_path / "res.csv.meta.json").read_text())
         np.testing.assert_array_equal(sidecar["final_regrets"], result.final_regrets)
         assert sidecar["config"]["policy"] == "cppl"
+
+    def test_numpy_integer_sizes_run_and_echo_as_json_ints(self, tmp_path):
+        sizes = dict(T=5, reps=1, seed=3)
+        config = ExperimentConfig(n=np.int64(20), k=np.int64(5), **sizes)
+        result = run_experiment(config)
+        emit_results(result, tmp_path / "res.csv", "csv")
+        sidecar = json.loads((tmp_path / "res.csv.meta.json").read_text())
+        assert (sidecar["config"]["n"], sidecar["config"]["k"]) == (20, 5)
+        plain = run_experiment(ExperimentConfig(n=20, k=5, **sizes))
+        np.testing.assert_array_equal(result.mean_cum_regret, plain.mean_cum_regret)
 
     def test_empty_result_header_only(self, tmp_path):
         result = AggregatedResult(

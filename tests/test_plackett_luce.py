@@ -45,6 +45,8 @@ class TestRanking:
             Ranking((0, 1, 0))
         with pytest.raises(ValueError):
             Ranking((2, 2, 1))
+        with pytest.raises(ValueError, match=r"ranking member must be an integer, got 1\.5"):
+            Ranking((0, 1.5))
 
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=8, unique=True))
     def test_ordering_round_trips(self, ordering):
@@ -186,6 +188,12 @@ class TestTopRank:
         v = UtilityVector.from_values(rng.uniform(0.5, 1.5, size=4))
         with pytest.raises(ValueError):
             prob_top_rank(v, (0, 1), 3)
+
+    @pytest.mark.parametrize("arm", [1.5, 1.0, True])
+    def test_rejects_non_integer_arm(self, arm):
+        v = UtilityVector.from_values([1.0, 2.0])
+        with pytest.raises(ValueError, match=f"^arm must be an integer, got {arm!r}$"):
+            prob_top_rank(v, (0, 1), arm)
 
 
 @given(
@@ -371,8 +379,10 @@ class TestSubsetRule:
             ((0, 2, 0), "subset members must be distinct"),
             ((-1, 0), r"subset members must lie in \[0, 4\)"),
             ((0, 4), r"subset members must lie in \[0, 4\)"),
+            ((0, 2.7), r"subset member must be an integer, got 2\.7"),
+            ((True, 2), "subset member must be an integer, got True"),
         ],
-        ids=["empty", "repeated", "negative", "too-large"],
+        ids=["empty", "repeated", "negative", "too-large", "float", "bool"],
     )
     def test_every_entry_rejects_a_bad_subset(self, entry, subset, message):
         with pytest.raises(ValueError, match=message):

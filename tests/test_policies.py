@@ -52,6 +52,11 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k_subset(np.ones(4), 0)
 
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_rejects_non_integer_k(self, k):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+            top_k_subset(np.ones(4), k)
+
 
 class TestCpplChoose:
     def test_matches_subset_enumeration(self, rng):
@@ -527,9 +532,10 @@ class TestPolicyInterface:
 
     @pytest.mark.parametrize("feedback, message", [
         (WinnerFeedback(3), "winner must be a member of the subset"),
+        (WinnerFeedback(1.0), r"winner must be an integer, got 1\.0"),
         (RankingFeedback(Ranking((1, 3))), "ranking domain must equal the subset"),
         (RankingFeedback(Ranking((1,))), "ranking domain must equal the subset"),
-    ], ids=["winner-outside", "ranking-other-arm", "ranking-one-arm"])
+    ], ids=["winner-outside", "winner-float", "ranking-other-arm", "ranking-one-arm"])
     def test_update_rejects_feedback_about_another_subset(self, rng, feedback, message):
         context = ContextMatrix(rng.uniform(size=(2, 4)))
         for policy in (CPPLPolicy(2, rng), MMPolicy(4)):
@@ -537,6 +543,12 @@ class TestPolicyInterface:
             with pytest.raises(ValueError, match=message):
                 policy.update(feedback, (0, 1), context)
             assert policy.state is state
+
+    def test_constructors_reject_a_non_integer_size(self, rng):
+        with pytest.raises(ValueError, match=r"^d must be an integer, got 2\.0$"):
+            CPPLPolicy(2.0, rng)
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 4\.0$"):
+            MMPolicy(4.0)
 
     def test_mm_policy_matches_mm_fit_on_same_history(self, rng):
         utils = UtilityVector.from_values([1.5, 1.0, 0.6, 1.1])
