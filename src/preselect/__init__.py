@@ -64,7 +64,6 @@ from .environments import (
 )
 from .harness import (
     AggregatedResult,
-    ConfigError,
     ExperimentConfig,
     emit_results,
     run_experiment,

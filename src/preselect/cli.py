@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .harness import FEEDBACK_MODES, FORMATS, POLICIES, ConfigError, ExperimentConfig
+from .harness import FEEDBACK_MODES, FORMATS, POLICIES, ExperimentConfig
 from .harness import _sidecar_path, emit_results, run_experiment
 from .selfcheck import run_all_checks
 
@@ -83,15 +83,15 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             with open(args.config, encoding="utf-8-sig") as fh:
                 values = json.load(fh)
         except UnicodeDecodeError as exc:
-            raise ConfigError(f"{args.config}: not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
+            raise ValueError(f"{args.config}: not UTF-8 text: {exc}") from exc
+        except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+            raise ValueError(f"{args.config}: invalid JSON: {exc}") from exc
         if not isinstance(values, dict):
-            raise ConfigError(f"{args.config}: expected a JSON object, not a list or value")
+            raise ValueError(f"{args.config}: expected a JSON object, not a list or value")
         values.pop("environment", None)  # the subcommand decides
         if "lambda" in values:
             if "lam" in values:
-                raise ConfigError(f"{args.config}: give lam or lambda, not both")
+                raise ValueError(f"{args.config}: give lam or lambda, not both")
             values["lam"] = values.pop("lambda")
     for key in (f.name for f in dataclasses.fields(ExperimentConfig)):
         flag = getattr(args, key, None)  # None for environment: no flag
@@ -101,7 +101,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     try:
         return ExperimentConfig(**values)
     except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
 
 
 def _check_writable(path: Path) -> None:
@@ -149,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:  # run_experiment wraps every failure inside the round loop
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:  # ConfigError included
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

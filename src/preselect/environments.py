@@ -70,6 +70,12 @@ def _check_world_size(T: int, d: int | None = None) -> None:
         raise ValueError("T must be nonnegative")
 
 
+def _check_seed(seed: int) -> None:
+    """The one seed rule: an integer ``>= 0``, as numpy's ``SeedSequence`` requires."""
+    if _check_int(seed, "seed") < 0:
+        raise ValueError("seed must be nonnegative")
+
+
 @dataclass(frozen=True)
 class SyntheticScenario:
     """Parameters of a synthetic contextual world."""
@@ -83,7 +89,7 @@ class SyntheticScenario:
 
     def __post_init__(self):
         theta = np.asarray(self.theta_star, dtype=float)
-        _check_int(self.seed, "seed")
+        _check_seed(self.seed)
         _check_k(self.k, self.n)
         _check_world_size(self.T, self.d)
         if theta.shape != (self.d,):
@@ -254,6 +260,7 @@ class SyntheticEnvironment:
         draws other rounds or the policy consumed.
         """
         sc = self.scenario
+        t = _check_int(t, "round index")
         if t < 1 or (sc.T > 0 and t > sc.T):
             raise ValueError(f"round index {t} outside 1..{sc.T}")
         stream = np.random.SeedSequence(entropy=sc.seed, spawn_key=(3, t))
@@ -271,7 +278,7 @@ class AlgoSelectEnvironment:
     """
 
     def __init__(self, table: RuntimeTable, lam: float, rng: np.random.Generator):
-        _check_setting("lam", lam)
+        lam = _check_setting("lam", lam)
         self.table, self.kept_columns = table._preprocessed
         if not self.kept_columns:
             raise ValueError(
@@ -299,6 +306,7 @@ class AlgoSelectEnvironment:
         features and solver i's features (instance entries vary slowest),
         and its true utility is ``exp(-lam * runtime)``.
         """
+        t = _check_int(t, "round index")
         if t < 1 or t > self.order.size:
             raise RuntimeError(
                 f"environment exhausted: round {t} of {self.order.size} available instances"

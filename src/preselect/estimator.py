@@ -97,7 +97,7 @@ class EstimatorState:
         if self.t < 0:
             raise ValueError("update counter must be nonnegative")
         for name in ("gamma1", "alpha"):
-            _check_setting(name, getattr(self, name))
+            object.__setattr__(self, name, _check_setting(name, getattr(self, name)))
         object.__setattr__(self, "theta_hat", theta_hat)
         object.__setattr__(self, "theta_bar", theta_bar)
         object.__setattr__(self, curvature, S)
@@ -317,7 +317,7 @@ def confidence_widths(
     and ``Y = M X``, the quadratic forms are the column sums of
     ``(V_accum Y) * Y``.
     """
-    _check_setting("omega", omega)
+    omega = _check_setting("omega", omega)
     X = context.features
     logits = _check_theta(state.theta_bar, context.d) @ X
     with np.errstate(over="ignore"):  # overflow becomes an explicit error below

@@ -14,6 +14,14 @@ while per-round context draws derive from ``(seed, t)`` directly.  The
 environment realization therefore does not depend on which policy runs
 on it, so baselines can be compared on identical draws.
 
+Bad settings: ``ExperimentConfig`` checks every field before anything
+runs, through the shared input rules (the number rule ``_check_setting``,
+the integer, preselection-size, world-size and seed rules), and each bad
+value raises ``ValueError`` naming the setting by its flag (``lambda``
+for ``lam``).  ``run_experiment`` re-raises only a round-loop failure,
+the ``RuntimeError`` of ``run_repetition``, naming its repetition; a
+table that does not fit the config stays a ``ValueError``.
+
 Output formats (see ``emit_results``):
 
 * ``csv``: columns ``round,mean_cum_regret,stderr`` plus a JSON sidecar
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -38,6 +46,7 @@ from .environments import (
     AlgoSelectEnvironment,
     SyntheticEnvironment,
     SyntheticScenario,
+    _check_seed,
     _check_world_size,
     instant_regret,
     load_runtime_table,
@@ -47,7 +56,6 @@ from .plackett_luce import _SETTING_RULES, _check_int, _check_k, _check_setting
 from .policies import CPPLPolicy, EpsilonGreedyPolicy, MMPolicy, Policy
 
 __all__ = [
-    "ConfigError",
     "ExperimentConfig",
     "AggregatedResult",
     "run_repetition",
@@ -61,16 +69,12 @@ ENVIRONMENTS = ("synthetic", "algoselect")
 FORMATS = ("csv", "json")
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
-
-
-def _config_rule(check, *args):
-    """A shared input rule's result, its ``ValueError`` re-raised as ``ConfigError``."""
+def _is_path(value) -> bool:
+    """Whether ``value`` is a string the file system can take: encodable, with no NUL."""
     try:
-        return check(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        return isinstance(value, str) and b"\0" not in os.fsencode(value)
+    except UnicodeEncodeError:
+        return False
 
 
 @dataclass
@@ -99,41 +103,33 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n", "d", "k", "T", "reps", "seed"):
-            setattr(self, name, _config_rule(_check_int, getattr(self, name), name))
+            setattr(self, name, _check_int(getattr(self, name), name))
         if self.environment not in ENVIRONMENTS:
-            raise ConfigError(f"unknown environment {self.environment!r}")
+            raise ValueError(f"unknown environment {self.environment!r}")
         if self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}")
+            raise ValueError(f"unknown policy {self.policy!r}")
         if self.feedback not in FEEDBACK_MODES:
-            raise ConfigError(f"unknown feedback mode {self.feedback!r}")
+            raise ValueError(f"unknown feedback mode {self.feedback!r}")
         if self.format not in FORMATS:
-            raise ConfigError(f"unknown output format {self.format!r}")
+            raise ValueError(f"unknown output format {self.format!r}")
         synthetic = self.environment == "synthetic"
-        _config_rule(_check_world_size, self.T, self.d if synthetic else None)
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        _check_world_size(self.T, self.d if synthetic else None)
+        _check_seed(self.seed)
         if self.reps < 1:
-            raise ConfigError("reps must be >= 1")
+            raise ValueError("reps must be >= 1")
         for name in _SETTING_RULES:
-            value = getattr(self, name)
             label = "lambda" if name == "lam" else name
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ConfigError(f"{label} must be a finite number, got {value!r}")
-            _config_rule(_check_setting, name, value, label)
-        if not isinstance(self.out, str):
-            raise ConfigError(f"out must be a path string, got {self.out!r}")
+            setattr(self, name, _check_setting(name, getattr(self, name), label))
+        if not _is_path(self.out):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
         for name in ("runtimes", "instance_features", "solver_features"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"{name} must be a path string or null, got {value!r}")
+            if value is not None and not _is_path(value):
+                raise ValueError(f"{name} must be a path string or null, got {value!r}")
         if synthetic:
-            _config_rule(_check_k, self.k, self.n)
-        else:
-            if self.runtimes is None or self.instance_features is None:
-                raise ConfigError(
-                    "algoselect requires --runtimes and --instance-features"
-                )
+            _check_k(self.k, self.n)
+        elif self.runtimes is None or self.instance_features is None:
+            raise ValueError("algoselect requires --runtimes and --instance-features")
 
 
 @dataclass
@@ -180,12 +176,10 @@ def _build_environment(config: ExperimentConfig, rep_seed, setup_rng, table):
     try:
         env = AlgoSelectEnvironment(table, lam=config.lam, rng=setup_rng)
     except ValueError as exc:
-        raise ConfigError(f"{config.instance_features}: {exc}") from exc
+        raise ValueError(f"{config.instance_features}: {exc}") from exc
     if config.T > env.max_rounds:
-        raise ConfigError(
-            f"T={config.T} exceeds the {env.max_rounds} available instances"
-        )
-    _config_rule(_check_k, config.k, env.n)
+        raise ValueError(f"T={config.T} exceeds the {env.max_rounds} available instances")
+    _check_k(config.k, env.n)
     return env
 
 
@@ -248,9 +242,7 @@ def run_experiment(config: ExperimentConfig) -> AggregatedResult:
     for rep in range(config.reps):
         try:
             cumulative[rep] = np.cumsum(run_repetition(config, rep, table=table))
-        except ConfigError:
-            raise
-        except Exception as exc:
+        except RuntimeError as exc:  # a round-loop failure, already naming its round
             raise RuntimeError(f"repetition {rep} failed: {exc}") from exc
     mean = cumulative.mean(axis=0)
     if config.reps > 1:

@@ -66,6 +66,8 @@ def _check_feedback(subset: tuple[int, ...], feedback: Feedback) -> None:
         if _check_int(feedback.arm, "winner") not in subset:
             raise ValueError("winner must be a member of the subset")
     elif isinstance(feedback, RankingFeedback):
+        if not isinstance(feedback.ranking, Ranking):
+            raise ValueError(f"ranking must be a Ranking, got {feedback.ranking!r}")
         if feedback.ranking.items != subset:
             raise ValueError("ranking domain must equal the subset")
     else:

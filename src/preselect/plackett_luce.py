@@ -16,6 +16,7 @@ Every function is pure; random sampling takes a caller-owned
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -127,9 +128,9 @@ def contextual_utilities(theta: np.ndarray, context: ContextMatrix) -> UtilityVe
 
 
 # Input rules, each written once: the config and the constructors call these.
-_NONNEGATIVE = ("nonnegative and finite", lambda v: 0.0 <= v < math.inf)
-_SETTING_RULES = {  # setting -> (what it must be, test)
-    "gamma1": ("finite and positive", lambda v: 0.0 < v < math.inf),
+_NONNEGATIVE = ("nonnegative and finite", lambda v: v >= 0)
+_SETTING_RULES = {  # setting -> (what it must be, range test on a finite value)
+    "gamma1": ("finite and positive", lambda v: v > 0),
     "alpha": ("in (1/2, 1)", lambda v: 0.5 < v < 1.0),
     "omega": _NONNEGATIVE,
     "epsilon": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
@@ -137,11 +138,23 @@ _SETTING_RULES = {  # setting -> (what it must be, test)
 }
 
 
-def _check_setting(name: str, value: float, label: str | None = None) -> None:
-    """Raise ``ValueError`` unless ``value`` obeys ``name``'s rule; the message says ``label``."""
+def _check_setting(name: str, value: float, label: str | None = None) -> float:
+    """The one number rule: a real number, not a bool, finite, then in ``name``'s range.
+
+    Returns the value to store: a Python int or float as given, a numpy scalar as a float.
+    """
+    try:
+        # float and int first: they skip the slow abstract-class check of numbers.Real.
+        real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+        finite = real and math.isfinite(value)
+    except OverflowError:  # a real number too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{label or name} must be a finite number, got {value!r}")
     what, ok = _SETTING_RULES[name]
     if not ok(value):
         raise ValueError(f"{label or name} must be {what}, got {value!r}")
+    return value if type(value) in (int, float) else float(value)
 
 
 def _check_int(value: int, name: str) -> int:

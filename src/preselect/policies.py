@@ -361,8 +361,7 @@ class CPPLPolicy(Policy):
         alpha: float = 0.6,
         omega: float = 1.0,
     ):
-        _check_setting("omega", omega)
-        self.omega = omega
+        self.omega = _check_setting("omega", omega)
         self.state = EstimatorState.init(d, rng, gamma1=gamma1, alpha=alpha)
 
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
@@ -380,8 +379,7 @@ class EpsilonGreedyPolicy(CPPLPolicy):
 
     def __init__(self, d, rng, epsilon=0.1, gamma1=2.0, alpha=0.6):
         super().__init__(d, rng, gamma1=gamma1, alpha=alpha, omega=0.0)
-        _check_setting("epsilon", epsilon)
-        self.epsilon = epsilon
+        self.epsilon = _check_setting("epsilon", epsilon)
         self.rng = rng
 
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:

@@ -86,6 +86,14 @@ class TestSyntheticRound:
         with pytest.raises(ValueError):
             synthetic_context(scenario, 6)
 
+    @pytest.mark.parametrize("world", ["synthetic", "algoselect"])
+    @pytest.mark.parametrize("t", [2.0, True, "1"])
+    def test_round_rejects_a_non_integer_index(self, rng, world, t):
+        env = (SyntheticEnvironment(make_scenario(rng)) if world == "synthetic"
+               else AlgoSelectEnvironment(small_table(), lam=1.0, rng=rng))
+        with pytest.raises(ValueError, match=f"^round index must be an integer, got {t!r}$"):
+            env.round(t)
+
     def test_theta_star_in_unit_cube(self, rng):
         scenario = make_scenario(rng)
         assert np.all((scenario.theta_star >= 0) & (scenario.theta_star <= 1))
@@ -253,7 +261,8 @@ class TestAlgoSelect:
     # exp(-inf * runtime) is no utility, so inf fails the same rule.
     @pytest.mark.parametrize("lam", [-1.0, -1e-12, float("nan"), float("inf")])
     def test_environment_rejects_bad_lambda_when_built(self, rng, lam):
-        with pytest.raises(ValueError, match=f"lam must be nonnegative and finite, got {lam}"):
+        what = "nonnegative and finite" if np.isfinite(lam) else "a finite number"
+        with pytest.raises(ValueError, match=f"lam must be {what}, got {lam}"):
             AlgoSelectEnvironment(small_table(), lam=lam, rng=rng)
 
     def test_environment_rejects_table_with_no_usable_column(self, rng):

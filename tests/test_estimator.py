@@ -83,7 +83,7 @@ class TestState:
     @pytest.mark.parametrize("build", [EstimatorState.init, CPPLPolicy], ids=["state", "policy"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite_gamma1(self, rng, build, value):
-        with pytest.raises(ValueError, match="gamma1 must be finite and positive"):
+        with pytest.raises(ValueError, match=f"gamma1 must be a finite number, got {value}"):
             build(3, rng, gamma1=value)
 
 
@@ -514,7 +514,7 @@ class TestConfidenceWidths:
     def test_non_finite_omega_is_a_value_error(self, rng, omega):
         # A bad width scale is a bad input, not an overflow of the arithmetic.
         state = random_state(rng, 2)
-        with pytest.raises(ValueError, match="omega must be nonnegative and finite"):
+        with pytest.raises(ValueError, match=f"omega must be a finite number, got {omega}"):
             confidence_widths(state, ContextMatrix(rng.uniform(size=(2, 3))), omega=omega)
 
     def test_large_finite_logits_give_finite_widths(self, rng):

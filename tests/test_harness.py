@@ -2,22 +2,25 @@
 
 import ast
 import csv
+import dataclasses
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import preselect
 from preselect import (
     AggregatedResult,
     AlgoSelectEnvironment,
     CPPLPolicy,
-    ConfigError,
     EpsilonGreedyPolicy,
     EstimatorState,
     ExperimentConfig,
@@ -83,6 +86,25 @@ class FixedSubsetPolicy(Policy):
         pass
 
 
+SETTINGS = ("gamma1", "alpha", "omega", "epsilon", "lam")
+HUGE = 10**400  # an integer too large for a float
+HALF = np.float32(0.5)
+
+
+def setting_id(value):
+    """A short test id for the values whose default id is long or positional."""
+    return "10**400" if value is HUGE else "float32-0.5" if value is HALF else None
+
+
+CONFIG_KEYS = sorted({f.name for f in dataclasses.fields(ExperimentConfig)} | {"lambda"})
+JSON_VALUES = st.one_of(  # every JSON type; huge integers and non-finite floats included
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**400), 10**400), st.floats(),
+    st.text(st.characters(blacklist_categories=(), blacklist_characters="/"), max_size=8),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
 def small_config(**overrides):
     base = dict(n=6, d=3, k=2, T=40, reps=3, seed=11, policy="cppl")
     base.update(overrides)
@@ -91,17 +113,17 @@ def small_config(**overrides):
 
 class TestConfig:
     def test_validates_ranges(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^k must satisfy"):
             ExperimentConfig(k=6, n=6)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^alpha must be"):
             ExperimentConfig(alpha=0.4)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^gamma1 must be"):
             ExperimentConfig(gamma1=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^epsilon must be"):
             ExperimentConfig(epsilon=1.2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^reps must be >= 1$"):
             ExperimentConfig(reps=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^unknown policy"):
             ExperimentConfig(policy="linucb")
 
     @pytest.mark.parametrize("name, value", [
@@ -110,53 +132,57 @@ class TestConfig:
         ("omega", -1.0), ("omega", float("inf")),
         ("epsilon", -0.1), ("epsilon", 1.5),
         ("lam", -1.0), ("lam", float("inf")),
-    ])
+        *[(name, value) for name in SETTINGS for value in (True, None, "1", HUGE, HALF)],
+    ], ids=setting_id)
     def test_config_and_owning_constructor_apply_the_same_rule(self, name, value):
         rng = np.random.default_rng(0)
         table = RuntimeTable(runtimes=rng.uniform(size=(6, 3)),
                              instance_features=rng.uniform(size=(6, 2)),
                              solver_features=rng.uniform(size=(3, 4)))
-        owners = {
-            "gamma1": lambda v: EstimatorState.init(3, rng, gamma1=v),
-            "alpha": lambda v: EstimatorState.init(3, rng, alpha=v),
-            "omega": lambda v: CPPLPolicy(3, rng, omega=v),
-            "epsilon": lambda v: EpsilonGreedyPolicy(3, rng, epsilon=v),
-            "lam": lambda v: AlgoSelectEnvironment(table, lam=v, rng=rng),
+        owners = {  # each builds the owner and reads back the value it stored
+            "gamma1": lambda v: EstimatorState.init(3, rng, gamma1=v).gamma1,
+            "alpha": lambda v: EstimatorState.init(3, rng, alpha=v).alpha,
+            "omega": lambda v: CPPLPolicy(3, rng, omega=v).omega,
+            "epsilon": lambda v: EpsilonGreedyPolicy(3, rng, epsilon=v).epsilon,
+            "lam": lambda v: AlgoSelectEnvironment(table, lam=v, rng=rng).lam,
         }
+        label = "lambda" if name == "lam" else name
+        if value is HALF and name != "alpha":  # in range: both store a Python float
+            stored = owners[name](value)
+            configured = getattr(ExperimentConfig(**{name: value}), name)
+            assert type(stored) is type(configured) is float and stored == configured == 0.5
+            return
         with pytest.raises(ValueError, match=f"^{name} must be ") as built:
             owners[name](value)
-        assert not isinstance(built.value, ConfigError)
-        label = "lambda" if name == "lam" else name
-        with pytest.raises(ConfigError, match=f"^{label} must be ") as configured:
+        with pytest.raises(ValueError, match=f"^{label} must be ") as configured:
             ExperimentConfig(**{name: value})
-        if np.isfinite(value):  # non-finite values stop at the config's own type rule
-            assert str(configured.value) == label + str(built.value)[len(name):]
+        assert str(configured.value) == label + str(built.value)[len(name):]
 
     def test_algoselect_requires_paths(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^algoselect requires"):
             ExperimentConfig(environment="algoselect")
 
-    @pytest.mark.parametrize("d, T", [(0, 5), (3, -1), (3, 5.5)])
-    def test_config_and_scenario_apply_the_same_world_size_rule(self, d, T):
+    @pytest.mark.parametrize("d, T, seed", [(0, 5, 0), (3, -1, 0), (3, 5.5, 0), (3, 5, -1)],
+                             ids=["0-5", "3--1", "3-5.5", "seed--1"])
+    def test_config_and_scenario_apply_the_same_world_size_rule(self, d, T, seed):
         with pytest.raises(ValueError) as built:
-            SyntheticScenario(n=6, d=d, k=2, T=T, theta_star=np.full(d, 0.5), seed=0)
-        assert not isinstance(built.value, ConfigError)
-        with pytest.raises(ConfigError) as configured:
-            ExperimentConfig(n=6, d=d, k=2, T=T)
+            SyntheticScenario(n=6, d=d, k=2, T=T, theta_star=np.full(d, 0.5), seed=seed)
+        with pytest.raises(ValueError) as configured:
+            ExperimentConfig(n=6, d=d, k=2, T=T, seed=seed)
         assert str(configured.value) == str(built.value)
 
     def test_algoselect_checks_T_but_not_the_unused_d(self):
         paths = dict(environment="algoselect", runtimes="rt.csv", instance_features="fi.csv")
         ExperimentConfig(d=0, **paths)
-        with pytest.raises(ConfigError, match="^T must be nonnegative$"):
+        with pytest.raises(ValueError, match="^T must be nonnegative$"):
             ExperimentConfig(T=-1, **paths)
 
     @pytest.mark.parametrize("field, value", [
         ("out", 5), ("out", None), ("runtimes", 0), ("instance_features", ["fi.csv"]),
-        ("solver_features", 1.5),
+        ("solver_features", 1.5), ("out", "x\0.csv"), ("runtimes", "\ud800.csv"),
     ])
     def test_path_fields_must_be_strings(self, field, value):
-        with pytest.raises(ConfigError, match=rf"^{field} must be a path string"):
+        with pytest.raises(ValueError, match=rf"^{field} must be a path string"):
             ExperimentConfig(**{field: value})
 
 
@@ -240,7 +266,7 @@ class TestRunRepetition:
             environment="algoselect", T=10, k=1, reps=1,
             runtimes=str(rt), instance_features=str(fi), solver_features=str(sf),
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^T=10 exceeds the 5 available instances$"):
             run_repetition(config, 0)
 
 
@@ -450,6 +476,52 @@ class TestCli:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert f"{flag[2:]} must be a finite number" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"T": 5, "reps": 1, "gamma1": 1' + "0" * 400 + "}")
+        assert cli_main(["synthetic", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: gamma1 must be a finite number, got 1000" in err
+        assert "Traceback" not in err
+
+    def test_integer_past_the_digit_limit_names_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"T": 5, "reps": 1, "seed": 1' + "0" * 5000 + "}")
+        assert cli_main(["synthetic", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"configuration error: {cfg}: invalid JSON: " in capsys.readouterr().err
+
+    def test_integer_setting_echoes_as_given(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 5, "reps": 1, "gamma1": 2}))
+        assert cli_main(["synthetic", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+        assert '"gamma1": 2,' in (tmp_path / "x.csv.meta.json").read_text()
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=JSON_VALUES)
+    @example(value="\x00")
+    @example(value="\ud800")
+    @example(value=10**400)
+    def test_any_json_value_for_any_key_exits_cleanly(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        # No round runs: the patched experiment counts its calls and returns
+        # an empty result, which is written inside tmp_path (strings hold no "/").
+        calls = []
+        empty = AggregatedResult(np.zeros(0), np.zeros(0), np.zeros(1))
+        monkeypatch.setattr(preselect.cli, "run_experiment",
+                            lambda config: calls.append(config) or empty)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        code = cli_main(["synthetic", "--config", "cfg.json"])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err
+        assert len(calls) == (code == 0)
+        if code == 1:
+            label = "lambda" if key == "lam" else key
+            assert re.search(rf"\b{label}\b", err), err
 
     def test_loop_failure_names_repetition_and_round(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(

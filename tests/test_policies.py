@@ -535,7 +535,9 @@ class TestPolicyInterface:
         (WinnerFeedback(1.0), r"winner must be an integer, got 1\.0"),
         (RankingFeedback(Ranking((1, 3))), "ranking domain must equal the subset"),
         (RankingFeedback(Ranking((1,))), "ranking domain must equal the subset"),
-    ], ids=["winner-outside", "winner-float", "ranking-other-arm", "ranking-one-arm"])
+        (RankingFeedback((1, 0)), r"ranking must be a Ranking, got \(1, 0\)"),
+    ], ids=["winner-outside", "winner-float", "ranking-other-arm", "ranking-one-arm",
+            "ranking-not-a-ranking"])
     def test_update_rejects_feedback_about_another_subset(self, rng, feedback, message):
         context = ContextMatrix(rng.uniform(size=(2, 4)))
         for policy in (CPPLPolicy(2, rng), MMPolicy(4)):
