@@ -274,11 +274,17 @@ class AlgoSelectEnvironment:
     Instance features are preprocessed once per table, however many
     environments share it; the instance order is a fresh shuffle (without
     replacement) from ``rng``.  A table that preprocessing cannot use
-    (one row, or no column left) is a ``ValueError``.
+    (one row, or no column left) is a ``ValueError``; a ``lam`` whose
+    ``-lam * runtime`` overflows is an ``OverflowError``.
     """
 
     def __init__(self, table: RuntimeTable, lam: float, rng: np.random.Generator):
         lam = _check_setting("lam", lam)
+        # Rounding is monotone, so the largest runtime bounds every cell's product.
+        largest = float(table.runtimes.max(initial=0.0))
+        if not np.isfinite(lam * largest):
+            raise OverflowError(f"lambda={lam!r} times the largest runtime, {largest!r}, "
+                                "overflows; lower lambda or rescale the runtimes")
         self.table, self.kept_columns = table._preprocessed
         if not self.kept_columns:
             raise ValueError(
@@ -324,7 +330,7 @@ class AlgoSelectEnvironment:
 
 
 def _read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header and nonblank rows (at least one) of a CSV file, each row with its 1-based line."""
+    """Header (names distinct) and nonblank rows (at least one) of a CSV, each row with its line."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -338,6 +344,11 @@ def _read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    columns: dict[str, int] = {}
+    for column, name in enumerate(header, 1):
+        if columns.setdefault(name, column) != column:
+            raise ValueError(f"{path}: column {name!r} repeated "
+                             f"in columns {columns[name]} and {column}")
     return header, rows
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import Observation, _grad_and_factors, grad_loglik, hessian_loglik
+from .likelihood import Observation, _factors, _grad, grad_loglik, hessian_loglik
 from .plackett_luce import ContextMatrix, _check_int, _check_setting, _check_theta
 
 __all__ = [
@@ -180,7 +180,8 @@ def sgd_update(state: EstimatorState, obs: Observation) -> EstimatorState:
         g = grad_loglik(theta_bar, obs)
         curvature = {"S_accum": state.S_accum + hessian_loglik(theta_bar, obs)}
     else:
-        g, F, C = _grad_and_factors(theta_bar, obs)
+        F, C, col_sums = _factors(theta_bar, obs)
+        g = _grad(F, len(obs.stages), col_sums)
         curvature = {"S_accum_inv": _woodbury_step(state.S_accum_inv, F, C)}
     return _advance(
         state,

@@ -20,7 +20,8 @@ the integer, preselection-size, world-size and seed rules), and each bad
 value raises ``ValueError`` naming the setting by its flag (``lambda``
 for ``lam``).  ``run_experiment`` re-raises only a round-loop failure,
 the ``RuntimeError`` of ``run_repetition``, naming its repetition; a
-table that does not fit the config stays a ``ValueError``.
+table that does not fit the config stays a ``ValueError``, as does a
+``(reps, T)`` regret table that numpy cannot allocate.
 
 Output formats (see ``emit_results``):
 
@@ -175,6 +176,8 @@ def _build_environment(config: ExperimentConfig, rep_seed, setup_rng, table):
         return SyntheticEnvironment(scenario)
     try:
         env = AlgoSelectEnvironment(table, lam=config.lam, rng=setup_rng)
+    except OverflowError as exc:  # lambda times a runtime
+        raise ValueError(f"{config.runtimes}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{config.instance_features}: {exc}") from exc
     if config.T > env.max_rounds:
@@ -238,7 +241,11 @@ def run_experiment(config: ExperimentConfig) -> AggregatedResult:
         table = load_runtime_table(
             config.runtimes, config.instance_features, config.solver_features
         )
-    cumulative = np.empty((config.reps, config.T))
+    try:
+        cumulative = np.empty((config.reps, config.T))
+    except (MemoryError, ValueError) as exc:  # ValueError: numpy's "array is too big"
+        raise ValueError(f"T={config.T} rounds x reps={config.reps} repetitions "
+                         f"do not fit in memory: {exc}") from exc
     for rep in range(config.reps):
         try:
             cumulative[rep] = np.cumsum(run_repetition(config, rep, table=table))

@@ -3,6 +3,8 @@
 An observed round is the winner of the chosen subset or a full ranking
 of it; either way it is a sequence of choice stages (``Observation.stages``),
 a winner being the single first stage.  Both log-likelihoods are concave.
+One observation rule (``_check_feedback``) checks the subset and the
+feedback together, for ``Observation`` and ``policies.MMState.record``.
 
 One stage pass (``_stage_terms``) orders the subset's columns X by stage
 and, from their logits l_j = theta . x_j, computes the per-stage log
@@ -11,7 +13,7 @@ accumulation, so every stage is shifted by its own maximum) and the choice
 probabilities P_ij = exp(l_j - lognorm_i) for j >= i, 0 for arms already
 taken (masked in log space, so nothing overflows).  Then
 
-    loglik = sum_i l_(i) - sum_i lognorm_i
+    loglik = sum_i l_(i) - sum_i lognorm_i   (plackett_luce._log_prob_stages)
     grad   = sum_i x_(i) - X (column sums of P)
     hess   = X C X^T,  C = P^T P - diag(column sums of P)  (k x k)
 
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plackett_luce import (
-    ContextMatrix, Ranking, _check_int, _check_subset, _check_theta, _suffix_log_normalizers,
+    ContextMatrix, Ranking, _check_int, _check_subset, _check_theta, _log_prob_stages,
+    _suffix_log_normalizers,
 )
 
 __all__ = [
@@ -57,11 +60,10 @@ class RankingFeedback:
 Feedback = WinnerFeedback | RankingFeedback
 
 
-def _check_feedback(subset: tuple[int, ...], feedback: Feedback) -> None:
-    """Raise ``ValueError`` unless ``feedback`` is about exactly ``subset``.
-
-    ``subset`` must already be sorted and distinct (see ``_check_subset``).
-    """
+def _check_feedback(subset: tuple[int, ...], feedback: Feedback, n: int) -> tuple[int, ...]:
+    """The one observation rule: ``subset`` passes the subset rule (see ``_check_subset``)
+    and ``feedback`` is about exactly it.  Returns the subset sorted."""
+    subset = _check_subset(subset, n)
     if isinstance(feedback, WinnerFeedback):
         if _check_int(feedback.arm, "winner") not in subset:
             raise ValueError("winner must be a member of the subset")
@@ -72,6 +74,7 @@ def _check_feedback(subset: tuple[int, ...], feedback: Feedback) -> None:
             raise ValueError("ranking domain must equal the subset")
     else:
         raise ValueError(f"unknown feedback type: {type(feedback)!r}")
+    return subset
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,8 @@ class Observation:
     context: ContextMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "subset", _check_subset(self.subset, self.context.n))
-        _check_feedback(self.subset, self.feedback)
+        subset = _check_feedback(self.subset, self.feedback, self.context.n)
+        object.__setattr__(self, "subset", subset)
 
     @property
     def stages(self) -> tuple[int, ...]:
@@ -108,8 +111,8 @@ def _stage_terms(theta: np.ndarray, obs: Observation):
 
 def loglik(theta: np.ndarray, obs: Observation) -> float:
     """Log-likelihood of ``theta`` for one observation (always <= 0)."""
-    _, logits, lognorm, _ = _stage_terms(theta, obs)
-    return float(logits[: lognorm.size].sum() - lognorm.sum())
+    _, logits, _, _ = _stage_terms(theta, obs)
+    return _log_prob_stages(logits, len(obs.stages))
 
 
 def _grad(feats: np.ndarray, m: int, col_sums: np.ndarray) -> np.ndarray:
@@ -137,9 +140,3 @@ def _factors(theta: np.ndarray, obs: Observation) -> tuple[np.ndarray, np.ndarra
     core = probs.T @ probs
     core.flat[:: core.shape[0] + 1] -= col_sums  # the diagonal, without index arrays
     return feats, core, col_sums
-
-
-def _grad_and_factors(theta: np.ndarray, obs: Observation) -> tuple[np.ndarray, ...]:
-    """``grad_loglik(theta, obs)``, bit-identical, and the X and C of ``_factors``: one pass."""
-    feats, core, col_sums = _factors(theta, obs)
-    return _grad(feats, len(obs.stages), col_sums), feats, core

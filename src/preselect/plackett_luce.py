@@ -55,9 +55,6 @@ class Ranking:
         """The ranked alternatives in sorted order."""
         return tuple(sorted(self.ordering))
 
-    def __len__(self) -> int:
-        return len(self.ordering)
-
 
 @dataclass(frozen=True)
 class ContextMatrix:
@@ -207,18 +204,14 @@ def _suffix_log_normalizers(logits: np.ndarray) -> np.ndarray:
     return np.logaddexp.accumulate(logits[::-1])[::-1]
 
 
-def _log_prob_ordering(log_v: np.ndarray, ordering: Sequence[int]) -> float:
-    """Log PL probability of observing ``ordering`` (best-first) among itself."""
-    logits = log_v[np.asarray(ordering, dtype=int)]
-    return float(logits.sum() - _suffix_log_normalizers(logits).sum())
+def _log_prob_stages(logits: np.ndarray, stages: int) -> float:
+    """Log PL probability that the first ``stages`` entries of ``logits`` are chosen in order."""
+    return float(logits[:stages].sum() - _suffix_log_normalizers(logits)[:stages].sum())
 
 
 def prob_full_ranking(utilities: UtilityVector, ranking: Ranking) -> float:
     """PL probability of a full ranking over all ``n`` alternatives."""
-    n = len(utilities)
-    if ranking.items != tuple(range(n)):
-        raise ValueError("ranking must cover all n alternatives exactly once")
-    return float(np.exp(_log_prob_ordering(utilities.log_values, ranking.ordering)))
+    return prob_partial_ranking(utilities, range(len(utilities)), ranking)
 
 
 def prob_partial_ranking(
@@ -233,7 +226,8 @@ def prob_partial_ranking(
     members = _check_subset(subset, len(utilities))
     if ranking.items != members:
         raise ValueError("ranking domain must equal the subset")
-    return float(np.exp(_log_prob_ordering(utilities.log_values, ranking.ordering)))
+    logits = utilities.log_values[list(ranking.ordering)]
+    return float(np.exp(_log_prob_stages(logits, len(members))))
 
 
 def prob_top_rank(utilities: UtilityVector, subset: Sequence[int], arm: int) -> float:
@@ -242,8 +236,8 @@ def prob_top_rank(utilities: UtilityVector, subset: Sequence[int], arm: int) -> 
     arm = _check_int(arm, "arm")
     if arm not in members:
         raise ValueError(f"arm {arm} is not a member of the subset")
-    logs = utilities.log_values[list(members)]
-    return float(np.exp(utilities.log_values[arm] - _suffix_log_normalizers(logs)[0]))
+    logits = utilities.log_values[[arm] + [i for i in members if i != arm]]
+    return float(np.exp(_log_prob_stages(logits, 1)))
 
 
 def _draw_stages(

@@ -46,7 +46,7 @@ from .estimator import (
     sgd_update,
 )
 from .likelihood import Feedback, Observation, WinnerFeedback, _check_feedback
-from .plackett_luce import ContextMatrix, _check_int, _check_k, _check_setting, _check_subset
+from .plackett_luce import ContextMatrix, _check_int, _check_k, _check_setting
 
 __all__ = [
     "PolicyDecision",
@@ -174,8 +174,7 @@ class MMState:
 
     def record(self, subset: tuple[int, ...], feedback: Feedback) -> "MMState":
         """Add one observation's stages to the statistics; weights are unchanged."""
-        subset = _check_subset(subset, self.n)
-        _check_feedback(subset, feedback)
+        subset = _check_feedback(subset, feedback, self.n)
         if isinstance(feedback, WinnerFeedback):
             stages = [(subset, feedback.arm)]
         else:

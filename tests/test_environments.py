@@ -265,6 +265,21 @@ class TestAlgoSelect:
         with pytest.raises(ValueError, match=f"lam must be {what}, got {lam}"):
             AlgoSelectEnvironment(small_table(), lam=lam, rng=rng)
 
+    @pytest.mark.parametrize("lam, runtime", [(10.0, 1e308), (1e10, 1e300), (1e308, 2.0)])
+    def test_environment_rejects_overflowing_utilities_when_built(self, rng, lam, runtime):
+        table = small_table()
+        runtimes = table.runtimes.copy()
+        runtimes[7, 2] = runtime
+        big = RuntimeTable(runtimes=runtimes, instance_features=table.instance_features,
+                           solver_features=table.solver_features)
+        message = f"lambda={lam!r} times the largest runtime, {runtime!r}, overflows"
+        with pytest.raises(OverflowError, match="^" + re.escape(message)):
+            AlgoSelectEnvironment(big, lam=lam, rng=rng)
+        # The largest finite product still builds, and its round is finite.
+        env = AlgoSelectEnvironment(big, lam=np.finfo(float).max / runtime, rng=rng)
+        env.order[0] = 7
+        assert np.isfinite(env.round(1)[1].log_values).all()
+
     def test_environment_rejects_table_with_no_usable_column(self, rng):
         table = small_table()
         flat = RuntimeTable(runtimes=table.runtimes, instance_features=np.ones((30, 5)),
@@ -467,3 +482,44 @@ class TestSyntheticEnvironment:
         context, utils = env.round(3)
         expected = contextual_utilities(scenario.theta_star, context)
         np.testing.assert_allclose(utils.values, expected.values)
+
+
+def scenario_with(**changes):
+    return SyntheticScenario(**{"n": 6, "d": 3, "k": 2, "T": 5, "seed": 0,
+                                "theta_star": np.full(3, 0.5), **changes})
+
+
+def table_with(**changes):
+    base = small_table(num_instances=4, num_solvers=3, p=2)
+    return RuntimeTable(**{"runtimes": base.runtimes, "instance_features": base.instance_features,
+                           "solver_features": base.solver_features, **changes})
+
+
+def write_then_load(text):
+    def load(tmp_path):
+        (tmp_path / "t.csv").write_text(text)
+        return load_runtime_table(tmp_path / "t.csv", tmp_path / "t.csv")
+    return load
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda _: scenario_with(theta_star=np.full(2, 0.5)), "theta_star must have dimension d"),
+    (lambda _: scenario_with(theta_star=[0.5, 1.5, 0.2]), "theta_star entries must lie in [0, 1]"),
+    (lambda _: table_with(runtimes=np.ones(3)), "runtimes and feature tables must be matrices"),
+    (lambda _: table_with(instance_features=np.ones((3, 2))),
+     "one instance-feature row per runtime row required"),
+    (lambda _: table_with(solver_features=np.ones((2, 4))),
+     "one solver-feature row per runtime column required"),
+    (lambda _: table_with(runtimes=np.full((4, 3), np.nan)),
+     "runtimes must be finite and nonnegative"),
+    (lambda _: table_with(runtimes=np.full((4, 3), -1.0)),
+     "runtimes must be finite and nonnegative"),
+    (lambda _: table_with(solver_features=np.full((3, 4), np.inf)),
+     "feature tables must be finite"),
+    (write_then_load(""), "t.csv: empty file"),
+    (write_then_load("id,solver_0\na,0.1\n"), "t.csv: first column must be instance_id"),
+], ids=["theta-dimension", "theta-range", "not-matrix", "instance-rows", "solver-rows",
+        "nan-runtime", "negative-runtime", "inf-feature", "empty-file", "first-column"])
+def test_environment_inputs_are_rejected(tmp_path, build, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        build(tmp_path)

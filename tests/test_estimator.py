@@ -583,3 +583,22 @@ class TestTailBounds:
         tail = np.mean(samples - d >= 2 * math.sqrt(d * x) + 2 * x)
         se = math.sqrt(tail * (1 - tail) / draws)
         assert tail <= chi2_upper_tail_bound(d, x) + 3 * se
+
+
+def state_with(**changes):
+    fields = dict(theta_hat=np.zeros(3), theta_bar=np.zeros(3), t=4, S_accum=-np.eye(3),
+                  V_accum=np.eye(3), gamma1=2.0, alpha=0.6)
+    return EstimatorState(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: state_with(theta_bar=np.zeros(2)), ValueError,
+     "theta_hat and theta_bar must have equal dimension"),
+    (lambda: state_with(t=-1), ValueError, "update counter must be nonnegative"),
+    # Utilities of 1 and a finite bracket: only the width product overflows.
+    (lambda: confidence_widths(state_with(), ContextMatrix(np.ones((3, 4))), 1e308),
+     OverflowError, "confidence widths overflowed; rescale the features"),
+], ids=["theta-dimensions", "negative-t", "widths-overflow"])
+def test_estimator_inputs_are_rejected(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()

@@ -647,6 +647,82 @@ class TestCli:
         assert f"configuration error: {rt}: instance_id 'i0' repeated on lines 2 and 12" in err
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("T", ["1", "80"])
+    @pytest.mark.parametrize("runtime, lam", [("1e308", []), ("1e300", ["--lambda", "1e10"])])
+    def test_overflowing_lambda_times_runtime_exits_one_before_round_one(
+        self, tmp_path, capsys, monkeypatch, runtime, lam, T
+    ):
+        rounds = []
+        real = AlgoSelectEnvironment.round
+        monkeypatch.setattr(AlgoSelectEnvironment, "round",
+                            lambda env, t: rounds.append(t) or real(env, t))
+        rt, fi = write_algoselect_tables(tmp_path)
+        lines = Path(rt).read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + runtime  # the last row's last solver
+        Path(rt).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.csv"
+        code = cli_main(["algoselect", "--T", T, "--reps", "2", "--runtimes", rt,
+                         "--instance-features", fi, "--out", str(out), *lam])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith(f"configuration error: {rt}: lambda=")
+        assert f"times the largest runtime, {float(runtime)!r}, overflows" in err
+        assert rounds == [] and not out.exists()
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_repeated_column_name_exits_one(self, tmp_path, capsys, which):
+        paths = write_algoselect_tables(tmp_path)
+        lines = Path(paths[which]).read_text().splitlines()
+        names = lines[0].split(",")
+        names[-1] = names[1]  # the last column takes the first data column's name
+        Path(paths[which]).write_text("\n".join([",".join(names), *lines[1:]]) + "\n")
+        code = cli_main(["algoselect", "--T", "5", "--reps", "1", "--runtimes", paths[0],
+                         "--instance-features", paths[1], "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {paths[which]}: column {names[1]!r} repeated "
+            f"in columns 2 and {len(names)}\n")
+
+    def test_regret_table_too_big_for_numpy_exits_one(self, tmp_path, capsys):
+        # 2 x 10**18 floats is past 2**63 bytes: numpy refuses before asking the OS.
+        code = cli_main(["synthetic", "--T", str(10**18), "--reps", "2",
+                         "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith(f"configuration error: T={10**18} rounds x reps=2 repetitions "
+                              "do not fit in memory: array is too big")
+
+    def test_regret_table_memory_error_exits_one_before_round_one(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_memory(shape, *args, **kw):
+            raise MemoryError("Unable to allocate")
+
+        calls = []
+        monkeypatch.setattr(preselect.harness, "run_repetition", lambda *a, **kw: calls.append(1))
+        monkeypatch.setattr(preselect.harness.np, "empty", no_memory)
+        code = cli_main(["synthetic", "--T", "7", "--reps", "3", "--out", str(tmp_path / "x.csv")])
+        assert code == 1 and calls == []
+        assert capsys.readouterr().err == ("configuration error: T=7 rounds x reps=3 repetitions "
+                                           "do not fit in memory: Unable to allocate\n")
+
+    def test_failure_in_a_real_round_exits_three(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = preselect.harness.instant_regret
+
+        def failing_regret(utils, subset):  # round 3 of repetition 1, after 5 rounds of rep 0
+            calls.append(1)
+            if len(calls) == 5 + 3:
+                raise TypeError("injected")
+            return real(utils, subset)
+
+        monkeypatch.setattr(preselect.harness, "instant_regret", failing_regret)
+        out = tmp_path / "x.csv"
+        code = cli_main(["synthetic", "--T", "5", "--reps", "2", "--out", str(out)])
+        assert code == 3 and len(calls) == 8 and not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: repetition 1 failed: round 3: injected")
+
     @pytest.mark.parametrize("flag", [
         "--config", "--runtimes", "--instance-features", "--solver-features",
     ])
@@ -783,3 +859,18 @@ class TestExports:
             exported = importlib.import_module(f"preselect.{node.module}").__all__
             stale = [alias.name for alias in node.names if alias.name not in exported]
             assert not stale, (node.module, stale)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda _: ExperimentConfig(environment="grid"), "unknown environment 'grid'"),
+    (lambda _: AggregatedResult(np.zeros(3), np.zeros(2), np.zeros(1)),
+     "mean and stderr must be equal-length vectors"),
+    (lambda _: AggregatedResult(np.zeros(2), [0.0, -0.1], np.zeros(1)),
+     "standard errors must be nonnegative"),
+    (lambda path: emit_results(AggregatedResult(np.zeros(1), np.zeros(1), np.zeros(1)),
+                               path / "x.xml", "xml"), "unknown output format: 'xml'"),
+], ids=["environment", "stderr-shape", "negative-stderr", "format"])
+def test_harness_inputs_are_rejected(tmp_path, build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(tmp_path)
+    assert not (tmp_path / "x.xml").exists()

@@ -19,7 +19,7 @@ from preselect import (
     prob_partial_ranking,
     prob_top_rank,
 )
-from preselect.likelihood import _grad_and_factors, _stage_terms
+from preselect.likelihood import _factors, _grad, _stage_terms
 from preselect.selfcheck import fd_gradient, fd_hessian, random_observation
 
 
@@ -262,7 +262,7 @@ class TestHessianMeansOracle:
 
 
 class TestFusedGradientAndFactors:
-    """``_grad_and_factors``, the carried estimator path's one stage pass."""
+    """``_factors`` and ``_grad``, the carried estimator path's one stage pass."""
 
     @pytest.mark.parametrize("mode", ["winner", "ranking"])
     def test_matches_grad_and_hessian(self, mode):
@@ -272,9 +272,15 @@ class TestFusedGradientAndFactors:
             size = int(rng.integers(1, 6))
             obs = random_observation(rng, d, size + 2, size, mode)
             theta = rng.normal(size=d)
-            grad, F, C = _grad_and_factors(theta, obs)
+            F, C, col_sums = _factors(theta, obs)
+            grad = _grad(F, len(obs.stages), col_sums)
             assert np.array_equal(grad, grad_loglik(theta, obs))
             # Relative to the whole matrix: a single small entry can lose
             # more digits to cancellation in either expression.
             hess = hessian_loglik(theta, obs)
             assert np.linalg.norm(F @ C @ F.T - hess) <= 1e-12 * np.linalg.norm(hess)
+
+
+def test_unknown_feedback_type_is_rejected():
+    with pytest.raises(ValueError, match="^unknown feedback type: <class 'int'>$"):
+        Observation(1, (0, 1), ContextMatrix(np.ones((2, 3))))

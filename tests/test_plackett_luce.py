@@ -395,3 +395,16 @@ class TestSubsetRule:
     def test_observation_stores_sorted_python_ints(self):
         subset = subset_entries()["Observation"](np.array([3, 0, 1]))
         assert subset == (0, 1, 3) and all(type(i) is int for i in subset)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ContextMatrix(np.ones(3)), "features must be a d x n matrix with d, n >= 1"),
+    (lambda: ContextMatrix(np.ones((0, 3))), "features must be a d x n matrix with d, n >= 1"),
+    (lambda: UtilityVector(np.array([])), "log utilities must be a nonempty vector"),
+    (lambda: UtilityVector([0.0, np.nan]), "log utilities must be finite"),
+    (lambda: UtilityVector.from_values([1.0, 0.0]), "utilities must be strictly positive"),
+], ids=["context-vector", "context-empty", "utilities-empty", "utilities-nan",
+        "values-zero"])
+def test_model_inputs_are_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

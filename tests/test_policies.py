@@ -635,3 +635,15 @@ class TestCPPLPolicy:
                 policy.update(sample_feedback(utils, subset, config.feedback, feedback_rng),
                               subset, context)
         assert not uncovered
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(weights=[]), "weights must be a nonempty vector"),
+    (dict(weights=np.ones((2, 2))), "weights must be a nonempty vector"),
+    (dict(weights=[0.5, 0.0]), "weights must be strictly positive and finite"),
+    (dict(weights=[0.5, np.inf]), "weights must be strictly positive and finite"),
+    (dict(weights=[0.5, 0.5], wins=np.zeros(3)), "wins must have one entry per arm"),
+], ids=["empty", "matrix", "zero", "inf", "wins-shape"])
+def test_mm_state_inputs_are_rejected(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MMState(**fields)
