@@ -20,6 +20,7 @@ import os
 import sys
 from pathlib import Path
 
+from .environments import _check_seed
 from .harness import FEEDBACK_MODES, FORMATS, POLICIES, ExperimentConfig
 from .harness import _sidecar_path, emit_results, run_experiment
 from .selfcheck import run_all_checks
@@ -115,6 +116,7 @@ def _check_writable(path: Path) -> None:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     results = run_all_checks(seed=args.seed)
     failed = 0
     for name, ok, detail in results:

@@ -38,7 +38,7 @@ from .plackett_luce import (
     _check_k,
     _check_setting,
     _check_subset,
-    contextual_utilities,
+    _unchecked,
     sample_partial_ranking,
     sample_winner,
 )
@@ -114,9 +114,7 @@ def instant_regret(true_utils: UtilityVector, subset) -> float:
     """
     members = _check_subset(subset, len(true_utils))
     logs = true_utils.log_values
-    best = float(np.max(logs))
-    best_in_subset = float(np.max(logs[list(members)]))
-    return 1.0 - float(np.exp(best_in_subset - best))
+    return 1.0 - float(np.exp(logs[list(members)].max() - logs.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +255,18 @@ class SyntheticEnvironment:
 
         The draw comes from a child stream of ``(scenario.seed, t)`` alone,
         so the same round always yields the same matrix, however many
-        draws other rounds or the policy consumed.
+        draws other rounds or the policy consumed.  Uniform draws and a
+        ``theta_star`` in [0, 1]^d are finite, so neither value is rechecked.
         """
         sc = self.scenario
         t = _check_int(t, "round index")
         if t < 1 or (sc.T > 0 and t > sc.T):
             raise ValueError(f"round index {t} outside 1..{sc.T}")
         stream = np.random.SeedSequence(entropy=sc.seed, spawn_key=(3, t))
-        context = ContextMatrix(np.random.default_rng(stream).uniform(size=(sc.d, sc.n)))
-        return context, contextual_utilities(sc.theta_star, context)
+        # ``random`` draws the bits of ``uniform(size=...)`` (0 + 1 * x), without its scaling.
+        features = np.random.default_rng(stream).random((sc.d, sc.n))
+        return (_unchecked(ContextMatrix, features=features),
+                _unchecked(UtilityVector, log_values=sc.theta_star @ features))
 
 
 class AlgoSelectEnvironment:
@@ -310,7 +311,10 @@ class AlgoSelectEnvironment:
 
         Arm i's feature vector is the Kronecker product of the instance
         features and solver i's features (instance entries vary slowest),
-        and its true utility is ``exp(-lam * runtime)``.
+        and its true utility is ``exp(-lam * runtime)``.  Neither value is
+        rechecked: the preprocessed instance features lie in [0, 1], the
+        solver features are checked finite, and the constructor bounds
+        ``lam`` times the largest runtime.
         """
         t = _check_int(t, "round index")
         if t < 1 or t > self.order.size:
@@ -320,8 +324,8 @@ class AlgoSelectEnvironment:
         table = self.table
         row = int(self.order[t - 1])
         features = table.instance_features[row][:, None, None] * table.solver_features.T
-        context = ContextMatrix(features.reshape(-1, table.num_solvers))
-        return context, UtilityVector(-self.lam * table.runtimes[row])
+        return (_unchecked(ContextMatrix, features=features.reshape(-1, table.num_solvers)),
+                _unchecked(UtilityVector, log_values=-self.lam * table.runtimes[row]))
 
 
 # ---------------------------------------------------------------------------

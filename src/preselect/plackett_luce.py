@@ -199,6 +199,29 @@ def _check_subset(subset: Sequence[int], n: int) -> tuple[int, ...]:
     return members
 
 
+def _check_ranking(ranking: Ranking, members: tuple[int, ...]) -> None:
+    """The one ranking-domain rule: ``ranking`` is a ``Ranking`` of exactly ``members``
+    (a subset already through ``_check_subset``)."""
+    if not isinstance(ranking, Ranking):
+        raise ValueError(f"ranking must be a Ranking, got {ranking!r}")
+    if ranking.items != members:
+        raise ValueError("ranking domain must equal the subset")
+
+
+def _unchecked(cls, fields=(), **changes):
+    """An instance of the dataclass ``cls`` with ``fields`` updated by ``changes``,
+    without running its checks.
+
+    For values that their maker knows to pass them: the estimator's and
+    MM's steps on a checked state (``estimator._advance``) and the worlds'
+    per-round contexts and utilities (both ``round`` methods).
+    Every other caller builds through the constructor.
+    """
+    new = object.__new__(cls)
+    new.__dict__.update(fields, **changes)
+    return new
+
+
 def _suffix_log_normalizers(logits: np.ndarray) -> np.ndarray:
     """``log sum_{j >= i} exp(logits[j])`` for every stage i, each shifted by its own max."""
     return np.logaddexp.accumulate(logits[::-1])[::-1]
@@ -224,8 +247,7 @@ def prob_partial_ranking(
     closed-form product of stage-wise choice probabilities.
     """
     members = _check_subset(subset, len(utilities))
-    if ranking.items != members:
-        raise ValueError("ranking domain must equal the subset")
+    _check_ranking(ranking, members)
     logits = utilities.log_values[list(ranking.ordering)]
     return float(np.exp(_log_prob_stages(logits, len(members))))
 

@@ -1,0 +1,277 @@
+"""Each round's work is computed once: held stage passes, unchecked world rounds.
+
+The fast paths must give the bits of the paths they replace: a held stage
+pass the bits of a fresh one, a world's unchecked round the values of the
+checked constructors, and the cheaper regret and symmetrization the bits
+of their plain formulas.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from preselect import (
+    AlgoSelectEnvironment,
+    ContextMatrix,
+    CPPLPolicy,
+    EpsilonGreedyPolicy,
+    Observation,
+    Ranking,
+    RankingFeedback,
+    RuntimeTable,
+    SyntheticEnvironment,
+    SyntheticScenario,
+    UtilityVector,
+    WinnerFeedback,
+    contextual_utilities,
+    grad_loglik,
+    hessian_loglik,
+    instant_regret,
+    loglik,
+    prob_partial_ranking,
+)
+from preselect import estimator, likelihood
+from preselect.likelihood import _stage_terms, _symmetrize
+from preselect.plackett_luce import _suffix_log_normalizers
+from preselect.selfcheck import random_observation
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def fresh(obs):
+    """The same observation with no held pass."""
+    return Observation(obs.feedback, obs.subset, obs.context)
+
+
+def uncached(theta, obs):
+    """(loglik, grad, hess) by the formulas of an uncached pass, without ``_symmetrize``."""
+    feats, logits, lognorm, probs = _stage_terms(theta, fresh(obs))
+    m = lognorm.size
+    col_sums = probs.sum(axis=0)
+    core = probs.T @ probs
+    core.flat[:: core.shape[0] + 1] -= col_sums
+    hess = feats @ core @ feats.T
+    return (
+        float(logits[:m].sum() - _suffix_log_normalizers(logits)[:m].sum()),
+        feats[:, :m].sum(axis=1) - feats @ col_sums,
+        (hess + hess.T) / 2.0,
+    )
+
+
+FUNCTIONS = {"loglik": (loglik, 0), "grad": (grad_loglik, 1), "hess": (hessian_loglik, 2)}
+
+
+class TestHeldStagePass:
+    @pytest.mark.parametrize("mode", ["winner", "ranking"])
+    @pytest.mark.parametrize("d", [2, 5, 80])
+    def test_every_call_order_gives_the_uncached_bits(self, mode, d):
+        rng = np.random.default_rng(70 + d)
+        # Hits, misses and returns to an earlier point, on one observation.
+        order = ["grad", "hess", "loglik", "grad@1", "hess", "loglik@1", "hess@1", "grad"]
+        for _ in range(10):
+            size = int(rng.integers(1, 7))
+            obs = random_observation(rng, d, size + 3, size, mode)
+            thetas = rng.normal(size=(2, d)) / np.sqrt(d)
+            for call in order:
+                name, _, point = call.partition("@")
+                theta = thetas[int(point or 0)]
+                fn, index = FUNCTIONS[name]
+                got = fn(theta, obs)
+                assert same_bits(got, fn(theta, fresh(obs)))
+                assert same_bits(got, uncached(theta, obs)[index])
+
+    def test_a_theta_changed_in_place_gets_a_new_pass(self, rng):
+        obs = random_observation(rng, 4, 7, 3, "ranking")
+        theta = rng.normal(size=4)
+        before = grad_loglik(theta, obs), hessian_loglik(theta, obs)
+        theta += 0.25
+        after = grad_loglik(theta, obs), hessian_loglik(theta, obs)
+        assert same_bits(after[0], grad_loglik(theta.copy(), fresh(obs)))
+        assert same_bits(after[1], hessian_loglik(theta.copy(), fresh(obs)))
+        assert not np.array_equal(before[0], after[0])
+        assert not np.array_equal(before[1], after[1])
+
+    def test_held_arrays_are_read_only_and_results_are_not(self, rng):
+        obs = random_observation(rng, 3, 6, 3, "ranking")
+        grad = grad_loglik(np.ones(3), obs)
+        held = obs._pass[1]
+        assert len(held) == 5  # X, logits, lognorm, P and the column sums of P
+        for array in held:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        grad[0] = 1.0  # what the public functions return belongs to the caller
+        hessian_loglik(np.ones(3), obs)[0, 0] = 1.0
+
+    def test_a_new_point_reuses_the_stage_ordered_columns(self, rng):
+        obs = random_observation(rng, 5, 9, 4, "winner")
+        grad_loglik(rng.normal(size=5), obs)
+        columns = obs._pass[1][0]
+        hessian_loglik(rng.normal(size=5), obs)
+        assert obs._pass[1][0] is columns
+
+    def test_the_pass_is_no_field_of_the_observation(self, rng):
+        obs = random_observation(rng, 3, 5, 2, "winner")
+        loglik(np.zeros(3), obs)
+        assert obs._pass is not None
+        assert "_pass" not in repr(obs)
+        assert dataclasses.replace(obs)._pass is None
+        with pytest.raises(TypeError):
+            Observation(obs.feedback, obs.subset, obs.context, _pass=obs._pass)
+
+
+def count_work(monkeypatch):
+    """Record each computed stage pass (its theta, and whether it gathered
+    its columns) and each public likelihood call that ``sgd_update`` makes."""
+    passes, calls = [], []
+
+    def counted_stage_terms(theta, obs, feats=None, _fn=likelihood._stage_terms):
+        passes.append((np.array(theta), feats is None))
+        return _fn(theta, obs, feats)
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(likelihood, "_stage_terms", counted_stage_terms)
+    monkeypatch.setattr(estimator, "grad_loglik", counted("grad", estimator.grad_loglik))
+    monkeypatch.setattr(estimator, "hessian_loglik", counted("hess", estimator.hessian_loglik))
+    return passes, calls
+
+
+POLICIES = {
+    "egreedy": lambda d, rng: EpsilonGreedyPolicy(d, rng, epsilon=0.5),
+    "maxtheta": lambda d, rng: CPPLPolicy(d, rng, omega=0.0),
+    "cppl": lambda d, rng: CPPLPolicy(d, rng, omega=1.0),
+}
+
+
+class TestWorkPerUpdate:
+    """Clock-free counts: stage passes computed and public likelihood calls made."""
+
+    @pytest.mark.parametrize("mode", ["winner", "ranking"])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_fresh_update_computes_two_stage_passes_over_three_calls(
+        self, monkeypatch, policy, mode
+    ):
+        rng = np.random.default_rng(8)
+        d, n, k = 8, 10, 3  # 3 updates add rank <= 6 < d: CPPL stays fresh
+        policy = POLICIES[policy](d, rng)
+        passes, calls = count_work(monkeypatch)
+        for _ in range(3):
+            assert policy.state.S_accum_inv is None
+            passes.clear()
+            calls.clear()
+            theta_hat = policy.state.theta_hat
+            context = ContextMatrix(rng.uniform(size=(d, n)))
+            subset = policy.choose(context, k).subset
+            feedback = (WinnerFeedback(subset[1]) if mode == "winner"
+                        else RankingFeedback(Ranking(subset[::-1])))
+            policy.update(feedback, subset, context)
+            assert calls == ["grad", "grad", "hess"]
+            assert len(passes) == 2
+            assert np.array_equal(passes[0][0], theta_hat)
+            assert np.array_equal(passes[1][0], policy.state.theta_bar)
+            assert [gathered for _, gathered in passes] == [True, False]
+
+    def test_carried_update_gathers_the_columns_once(self, monkeypatch, rng):
+        d = 4
+        A = rng.normal(size=(d, d))
+        carried = estimator.EstimatorState(
+            theta_hat=rng.uniform(size=d), theta_bar=rng.uniform(size=d), t=5, S_accum=None,
+            S_accum_inv=-np.linalg.inv(A @ A.T + np.eye(d)), V_accum=np.eye(d),
+            gamma1=2.0, alpha=0.6,
+        )
+        obs = random_observation(rng, d, 7, 3, "winner")
+        passes, calls = count_work(monkeypatch)
+        estimator.sgd_update(carried, obs)
+        assert calls == ["grad"]
+        assert [gathered for _, gathered in passes] == [True, False]
+
+
+class TestWorldRounds:
+    """Both worlds skip the checks; their values are the checked constructors'."""
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_synthetic_round_equals_the_checked_build(self, seed):
+        scenario = SyntheticScenario.draw(n=7, d=3, k=2, T=0, seed=seed,
+                                          rng=np.random.default_rng(seed))
+        env = SyntheticEnvironment(scenario)
+        for t in (1, 2, 17, 2000):
+            context, utils = env.round(t)
+            stream = np.random.SeedSequence(entropy=seed, spawn_key=(3, t))
+            want = ContextMatrix(np.random.default_rng(stream).uniform(size=(3, 7)))
+            want_utils = contextual_utilities(scenario.theta_star, want)
+            assert type(context) is ContextMatrix and type(utils) is UtilityVector
+            assert same_bits(context.features, want.features)
+            assert same_bits(utils.log_values, want_utils.log_values)
+            assert len(utils) == 7 and (context.d, context.n) == (3, 7)
+
+    @pytest.mark.parametrize("lam", [10.0, 3, 0.0])
+    def test_algoselect_round_equals_the_checked_build(self, lam):
+        rng = np.random.default_rng(21)
+        table = RuntimeTable(
+            runtimes=rng.uniform(0.0, 2.0, size=(12, 4)),
+            instance_features=rng.normal(size=(12, 6)) * 1e3,
+            solver_features=rng.normal(size=(4, 4)),
+        )
+        env = AlgoSelectEnvironment(table, lam=lam, rng=rng)
+        for t in (1, 5, 12):
+            context, utils = env.round(t)
+            row = env.order[t - 1]
+            inst = env.table.instance_features[row]
+            want = ContextMatrix(np.column_stack(
+                [np.kron(inst, solver) for solver in env.table.solver_features]))
+            want_utils = UtilityVector(-lam * table.runtimes[row])
+            assert type(context) is ContextMatrix and type(utils) is UtilityVector
+            assert same_bits(context.features, want.features)
+            assert same_bits(utils.log_values, want_utils.log_values)
+
+
+class TestSameBitsCheaperForms:
+    def test_symmetrize_is_the_plain_mean_with_its_transpose(self):
+        rng = np.random.default_rng(9)
+        for d in (1, 2, 5, 80):
+            for scale in (1.0, 1e-310, 1e300):
+                A = rng.normal(size=(d, d)) * scale
+                before = A.copy()
+                assert same_bits(_symmetrize(A), (A + A.T) / 2.0)
+                assert same_bits(A, before)
+
+    def test_regret_is_the_plain_formula(self):
+        rng = np.random.default_rng(10)
+        for _ in range(500):
+            n = int(rng.integers(2, 25))
+            logs = rng.normal(size=n) * rng.choice([1e-3, 1.0, 300.0])
+            subset = tuple(sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False)))
+            utils = UtilityVector(logs)
+            want = 1.0 - float(np.exp(float(np.max(logs[list(subset)])) - float(np.max(logs))))
+            got = instant_regret(utils, subset)
+            assert type(got) is float and same_bits(got, want)
+
+
+class TestRankingDomainRule:
+    """One rule, one set of messages, for the probability and the observation."""
+
+    def test_domain_mismatch(self):
+        utils = UtilityVector.from_values([1.0, 2.0, 3.0])
+        context = ContextMatrix(np.ones((2, 3)))
+        message = "^ranking domain must equal the subset$"
+        with pytest.raises(ValueError, match=message):
+            prob_partial_ranking(utils, (0, 1), Ranking((0, 2)))
+        with pytest.raises(ValueError, match=message):
+            Observation(RankingFeedback(Ranking((0, 2))), (0, 1), context)
+
+    def test_not_a_ranking(self):
+        utils = UtilityVector.from_values([1.0, 2.0, 3.0])
+        context = ContextMatrix(np.ones((2, 3)))
+        message = r"^ranking must be a Ranking, got \(1, 0\)$"
+        with pytest.raises(ValueError, match=message):
+            prob_partial_ranking(utils, (0, 1), (1, 0))
+        with pytest.raises(ValueError, match=message):
+            Observation(RankingFeedback((1, 0)), (0, 1), context)
