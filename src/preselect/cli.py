@@ -39,10 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
+class _SetByTable(argparse.Action):
+    """A synthetic-only flag given to ``algoselect``, whose runtime table sets it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} does not apply to algoselect: the runtime table "
+                     f"sets the {self.metavar}")
+
+
+def _add_experiment_flags(parser: argparse.ArgumentParser, synthetic: bool) -> None:
     parser.add_argument("--config", help="flat JSON file with defaults for any flag")
-    parser.add_argument("--n", type=int, help="number of arms")
-    parser.add_argument("--d", type=int, help="feature dimension")
+    for flag, meaning in (("--n", "number of arms"), ("--d", "feature dimension")):
+        if synthetic:
+            parser.add_argument(flag, type=int, help=meaning)
+        else:
+            parser.add_argument(flag, action=_SetByTable, metavar=meaning, help=argparse.SUPPRESS)
     parser.add_argument("--k", type=int, help="preselection size")
     parser.add_argument("--T", type=int, help="rounds per repetition")
     parser.add_argument("--reps", type=int, help="number of repetitions")
@@ -69,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_syn = sub.add_parser("synthetic", help="run on the synthetic world")
-    _add_experiment_flags(p_syn)
+    _add_experiment_flags(p_syn, synthetic=True)
     p_alg = sub.add_parser("algoselect", help="run on a solver runtime table")
-    _add_experiment_flags(p_alg)
+    _add_experiment_flags(p_alg, synthetic=False)
     p_ver = sub.add_parser("verify", help="run quick numeric self-checks")
     p_ver.add_argument("--seed", type=int, default=0)
     return parser

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .likelihood import (
-    Observation, _factors, _grad, _symmetrize, grad_loglik, hessian_loglik,
+    Observation, _factors, _symmetrize, grad_loglik, hessian_loglik,
 )
 from .plackett_luce import ContextMatrix, _check_int, _check_setting, _check_theta, _unchecked
 
@@ -163,15 +163,15 @@ def sgd_update(state: EstimatorState, obs: Observation) -> EstimatorState:
 
     The step uses the gradient at the current iterate; the accumulators
     are evaluated at the new running average, matching their plug-in
-    definitions.  A fresh state (warm-up rounds, omega = 0 policies) adds
-    ``hessian_loglik`` to ``S_accum``: three likelihood calls, two stage
-    passes computed, as the Hessian reuses the gradient's pass at the
-    average (see ``likelihood._stage_pass``).  A carried state (every
-    later CPPL round) takes the gradient and the Hessian's factors from
-    one stage pass at the average and moves ``S_accum_inv`` by one
-    Woodbury step (see ``_woodbury_step``): two stage passes, and no
-    d x d Hessian is formed.  Either way the two passes gather the
-    observation's columns once.  A non-finite average raises ``OverflowError``.
+    definitions.  Both curvature forms take the gradient at the average
+    from ``grad_loglik``.  A fresh state (warm-up rounds, omega = 0
+    policies) adds ``hessian_loglik`` to ``S_accum``: three likelihood
+    calls.  A carried state (every later CPPL round) moves ``S_accum_inv``
+    by one Woodbury step on the Hessian's factors (see ``_woodbury_step``),
+    so no d x d Hessian is formed: two likelihood calls.  Either way two
+    stage passes are computed, as the curvature reuses the gradient's pass
+    at the average, and they gather the observation's columns once (see
+    ``likelihood._stage_pass``).  A non-finite average raises ``OverflowError``.
     """
     t_new = state.t + 1
     step = state.gamma1 * t_new ** (-state.alpha)
@@ -179,13 +179,11 @@ def sgd_update(state: EstimatorState, obs: Observation) -> EstimatorState:
     theta_bar = ((t_new - 1) * state.theta_bar + theta_hat) / t_new
     if not np.isfinite(theta_bar).all():
         raise OverflowError("SGD estimate overflowed; lower gamma1 or rescale the features")
+    g = grad_loglik(theta_bar, obs)
     if state.S_accum_inv is None:
-        g = grad_loglik(theta_bar, obs)
         curvature = {"S_accum": state.S_accum + hessian_loglik(theta_bar, obs)}
     else:
-        F, C, col_sums = _factors(theta_bar, obs)
-        g = _grad(F, len(obs.stages), col_sums)
-        curvature = {"S_accum_inv": _woodbury_step(state.S_accum_inv, F, C)}
+        curvature = {"S_accum_inv": _woodbury_step(state.S_accum_inv, *_factors(theta_bar, obs))}
     return _advance(
         state,
         theta_hat=theta_hat,
@@ -307,13 +305,15 @@ def confidence_widths(
         omega * sqrt( (2 log t + d + 2 sqrt(d log t)) * I_i ),
         I_i = exp(2 x . theta_bar) * x^T Sigma x,
 
-    where ``I_i`` is the operator norm of the rank-one matrix
-    ``Sigma^(1/2) [exp(2 x.theta_bar) x x^T] Sigma^(1/2)`` in closed
-    form; the square root of Sigma is never materialized.  A fresh state
-    takes Sigma from ``covariance``.  A carried state never forms the
-    d x d Sigma: with ``Sigma = M V_accum M`` (see ``_carried_factor``)
-    and ``Y = M X``, the quadratic forms are the column sums of
-    ``(V_accum Y) * Y``.
+    where the bracket is the chi-square threshold ``_chi2_threshold(d, log t)``,
+    which a chi2(d) variable exceeds with probability at most 1/t
+    (``chi2_upper_tail_bound``), and ``I_i`` is the operator norm of the
+    rank-one matrix ``Sigma^(1/2) [exp(2 x.theta_bar) x x^T] Sigma^(1/2)``
+    in closed form; the square root of Sigma is never materialized.  A
+    fresh state takes Sigma from ``covariance``.  A carried state never
+    forms the d x d Sigma: with ``Sigma = M V_accum M`` (see
+    ``_carried_factor``) and ``Y = M X``, the quadratic forms are the
+    column sums of ``(V_accum Y) * Y``.
     """
     omega = _check_setting("omega", omega)
     X = context.features
@@ -329,8 +329,7 @@ def confidence_widths(
         if not np.isfinite(utilities).all():
             raise OverflowError("estimated utilities overflowed; rescale the features")
         quad = np.maximum(quad, 0.0)  # guard tiny negative round-off
-        log_t = math.log(state.t)
-        bracket = 2.0 * log_t + state.d + 2.0 * math.sqrt(state.d * log_t)
+        bracket = _chi2_threshold(state.d, math.log(state.t))
         # sqrt(exp(2 logit)) = exp(logit): multiply by the utilities rather
         # than form exp(2 logit), which overflows for logits above ~355.
         widths = omega * utilities * np.sqrt(bracket * quad)
@@ -345,10 +344,15 @@ def _check_tail_args(d: int, x: float, name: str = "d") -> None:
         raise ValueError(f"need {name} >= 1 and x >= 0, got {name}={d!r}, x={x!r}")
 
 
+def _chi2_threshold(d: int, x: float) -> float:
+    """``d + 2 sqrt(d x) + 2 x``, which ``Y ~ chi2(d)`` exceeds with probability <= ``exp(-x)``."""
+    return 2.0 * x + d + 2.0 * math.sqrt(d * x)
+
+
 def f_tail_threshold(d1: int, x: float) -> float:
     """Threshold ``s`` such that an F(d1, d2) variable exceeds s with small probability."""
     _check_tail_args(d1, x, "d1")
-    return 4.0 * (d1 + 2.0 * math.sqrt(d1 * x) + 2.0 * x) / (3.0 * d1)
+    return 4.0 * _chi2_threshold(d1, x) / (3.0 * d1)
 
 
 def f_tail_bound(d2: int, x: float) -> float:

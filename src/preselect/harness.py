@@ -30,6 +30,9 @@ Output formats (see ``emit_results``):
   regrets, and wall time.
 * ``json``: one document with keys ``config``, ``rounds``,
   ``mean_cum_regret``, ``stderr``, ``final_regrets``, ``wall_time_s``.
+
+An algoselect run's config echo gives the table's ``n`` (solvers) and
+``d`` (features per arm), whatever the config held.
 """
 
 from __future__ import annotations
@@ -257,11 +260,15 @@ def run_experiment(config: ExperimentConfig) -> AggregatedResult:
     else:
         stderr = np.zeros(config.T)
     final = cumulative[:, -1] if config.T > 0 else np.zeros(config.reps)
+    echo = asdict(config)
+    if table is not None:  # the table, not the config, sets the arms and the dimension
+        env = AlgoSelectEnvironment(table, lam=config.lam, rng=np.random.default_rng(0))
+        echo.update(n=env.n, d=env.d)
     return AggregatedResult(
         mean_cum_regret=mean,
         stderr=stderr,
         final_regrets=final,
-        config=asdict(config),
+        config=echo,
         wall_time_s=time.perf_counter() - start,
     )
 

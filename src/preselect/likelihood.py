@@ -6,7 +6,7 @@ a winner being the single first stage.  Both log-likelihoods are concave.
 One observation rule (``_check_feedback``) checks the subset and the
 feedback together, for ``Observation`` and ``policies.MMState.record``.
 
-One stage pass (``_stage_terms``) orders the subset's columns X by stage
+One stage pass (``_stage_pass``) orders the subset's columns X by stage
 and, from their logits l_j = theta . x_j, computes the per-stage log
 normalizers lognorm_i = log sum_{j >= i} exp(l_j) (a reverse ``logaddexp``
 accumulation, so every stage is shifted by its own maximum) and the choice
@@ -21,9 +21,10 @@ The Hessian is computed as ``X C X^T``, from the factors the carried
 estimator path hands to its Woodbury step (``_factors``).
 
 Each pass is computed once per point: an ``Observation`` holds its last
-pass (``_stage_pass``), so ``grad_loglik`` then ``hessian_loglik`` at the
+pass, so ``grad_loglik`` then ``hessian_loglik`` (or ``_factors``) at the
 same theta compute one pass, and a pass at a new theta reuses the held
-columns X.  The estimator's three calls per fresh update compute two.
+columns X.  Each estimator update makes two passes: both curvature forms
+take the gradient at the average from ``grad_loglik``.
 """
 
 from __future__ import annotations
@@ -102,40 +103,35 @@ class Observation:
         return self.feedback.ranking.ordering
 
 
-def _stage_terms(theta: np.ndarray, obs: Observation, feats: np.ndarray | None = None):
-    """Stage-ordered columns X (observed stages first), logits, lognorm and P.
-
-    ``feats`` is X when the caller already holds it; it depends on ``obs`` alone.
-    """
-    stages = obs.stages
-    if feats is None:
-        feats = obs.context.features[:, stages + tuple(i for i in obs.subset if i not in stages)]
-    logits = _check_theta(theta, obs.context.d) @ feats
-    lognorm = _suffix_log_normalizers(logits)[: len(stages)]
-    log_probs = logits - lognorm[:, None]
-    for i in range(1, len(stages)):
-        log_probs[i, :i] = -np.inf
-    return feats, logits, lognorm, np.exp(log_probs)
-
-
 def _stage_pass(theta: np.ndarray, obs: Observation):
-    """``_stage_terms(theta, obs)`` and the column sums of P, computed once per point.
+    """One stage pass, computed once per point: the stage-ordered columns X
+    (observed stages first), the logits, lognorm, P and the column sums of P.
 
     ``obs`` holds its last pass, keyed by the bytes of ``theta``, so a
     second call at the same point (``grad_loglik`` then ``hessian_loglik``
-    at the average) reuses it, and a call at a new point reuses its
-    stage-ordered columns.  The held arrays are read-only: every caller
-    builds new arrays from them.  A ``theta`` changed in place has new
-    bytes, so it gets a new pass; a context changed in place after the
-    first pass is not seen, as an observation is a record of its round.
+    at the average) returns it, and a call at a new point reuses its X.
+    The held arrays are read-only: every caller builds new arrays from
+    them.  A ``theta`` changed in place has new bytes, so it gets a new
+    pass; a context changed in place after the first pass is not seen, as
+    an observation is a record of its round.
     """
     theta = _check_theta(theta, obs.context.d)
     key = theta.tobytes()
     held = obs._pass
     if held is not None and held[0] == key:
         return held[1]
-    terms = _stage_terms(theta, obs, None if held is None else held[1][0])
-    terms += (terms[3].sum(axis=0),)
+    stages = obs.stages
+    if held is None:
+        feats = obs.context.features[:, stages + tuple(i for i in obs.subset if i not in stages)]
+    else:
+        feats = held[1][0]
+    logits = theta @ feats
+    lognorm = _suffix_log_normalizers(logits)[: len(stages)]
+    log_probs = logits - lognorm[:, None]
+    for i in range(1, len(stages)):
+        log_probs[i, :i] = -np.inf
+    probs = np.exp(log_probs)
+    terms = (feats, logits, lognorm, probs, probs.sum(axis=0))
     for array in terms:
         array.setflags(write=False)
     object.__setattr__(obs, "_pass", (key, terms))
@@ -159,26 +155,21 @@ def loglik(theta: np.ndarray, obs: Observation) -> float:
     return _log_prob_stages(logits, len(obs.stages))
 
 
-def _grad(feats: np.ndarray, m: int, col_sums: np.ndarray) -> np.ndarray:
-    """The gradient from a stage pass with m stages: ``sum_i x_(i) - X colsums(P)``."""
-    return feats[:, :m].sum(axis=1) - feats @ col_sums
-
-
 def grad_loglik(theta: np.ndarray, obs: Observation) -> np.ndarray:
-    """Gradient of the log-likelihood with respect to ``theta``."""
+    """Gradient of the log-likelihood with respect to ``theta``: ``sum_i x_(i) - X colsums(P)``."""
     feats, _, lognorm, _, col_sums = _stage_pass(theta, obs)
-    return _grad(feats, lognorm.size, col_sums)
+    return feats[:, : lognorm.size].sum(axis=1) - feats @ col_sums
 
 
 def hessian_loglik(theta: np.ndarray, obs: Observation) -> np.ndarray:
     """Hessian of the log-likelihood, ``X C X^T`` symmetrized; negative semi-definite."""
-    feats, core, _ = _factors(theta, obs)
+    feats, core = _factors(theta, obs)
     return _symmetrize(feats @ core @ feats.T)
 
 
-def _factors(theta: np.ndarray, obs: Observation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X, the (singular) core C with Hessian ``X C X^T``, and the column sums of P."""
+def _factors(theta: np.ndarray, obs: Observation) -> tuple[np.ndarray, np.ndarray]:
+    """X and the (singular) core C with Hessian ``X C X^T``."""
     feats, _, _, probs, col_sums = _stage_pass(theta, obs)
     core = probs.T @ probs
     core.flat[:: core.shape[0] + 1] -= col_sums  # the diagonal, without index arrays
-    return feats, core, col_sums
+    return feats, core

@@ -344,19 +344,27 @@ class TestCarriedInverse:
         fresh = random_state(rng, d)
         carried = replace(fresh, S_accum=None, S_accum_inv=np.linalg.inv(fresh.S_accum))
         obs = winner_obs(rng, d, 8, 4)
-        passes = []
+        computed, passes = [], []
 
-        def counted_stage_terms(*args, _fn=likelihood._stage_terms):
-            passes.append(args[0])
-            return _fn(*args)
+        def counted_normalizers(logits, _fn=likelihood._suffix_log_normalizers):
+            computed.append(logits)  # one call per computed stage pass
+            return _fn(logits)
+
+        def recorded_grad(theta, obs, _fn=estimator.grad_loglik):
+            before = obs._pass
+            grad = _fn(theta, obs)
+            if obs._pass is not before:
+                passes.append(np.array(theta))
+            return grad
 
         def no_hessian(*args):
             raise AssertionError("a carried update formed a Hessian")
 
-        monkeypatch.setattr(likelihood, "_stage_terms", counted_stage_terms)
+        monkeypatch.setattr(likelihood, "_suffix_log_normalizers", counted_normalizers)
+        monkeypatch.setattr(estimator, "grad_loglik", recorded_grad)
         monkeypatch.setattr(estimator, "hessian_loglik", no_hessian)
         new = sgd_update(carried, obs)
-        assert len(passes) == 2
+        assert len(computed) == len(passes) == 2
         np.testing.assert_array_equal(passes[0], carried.theta_hat)
         np.testing.assert_array_equal(passes[1], new.theta_bar)
         assert new.S_accum is None and new.S_accum_inv is not None

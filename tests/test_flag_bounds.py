@@ -2,16 +2,21 @@
 
 A run ends with exit 0 (a value the rule accepts) or exit 1 (one it
 rejects), never with a traceback, and an exit-1 message names the flag.
+``algoselect`` refuses the synthetic-only ``--n`` and ``--d``, and its
+sidecar reports the table's arms and dimension.
 Runs are tiny (n=4, d=2, T=3, one repetition), so the module runs in
 about a second.
 """
 
+import json
 import re
 
 import numpy as np
 import pytest
 
+from preselect import AlgoSelectEnvironment, ExperimentConfig, emit_results, run_experiment
 from preselect.cli import main as cli_main
+from preselect.environments import load_runtime_table
 
 TINY = "5e-324"  # the smallest positive float
 
@@ -90,6 +95,45 @@ def test_algoselect_flag_bounds(tmp_path, capsys, flag, value, expected):
             "runtimes": str(rt), "instance-features": str(fi), "out": str(tmp_path / "r.csv")}
     code = cli_main(["algoselect"] + [f"--{key}={val}" for key, val in argv.items()])
     check_exit(code, capsys.readouterr().err, flag, expected)
+
+
+@pytest.mark.parametrize("flag, meaning", [("n", "number of arms"), ("d", "feature dimension")])
+def test_algoselect_refuses_the_synthetic_size_flags(tmp_path, capsys, flag, meaning):
+    rt, fi = write_tables(tmp_path)
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as done:
+        cli_main(["algoselect", f"--{flag}", "3", "--T", "2", "--reps", "1", "--runtimes",
+                  str(rt), "--instance-features", str(fi), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert done.value.code == 1 and "Traceback" not in err
+    assert (f"--{flag} does not apply to algoselect: the runtime table sets the {meaning}"
+            in err)
+    assert not out.exists()
+
+
+def world_size(rt, fi):
+    env = AlgoSelectEnvironment(load_runtime_table(rt, fi), lam=1.0, rng=np.random.default_rng(0))
+    return env.n, env.d
+
+
+def test_algoselect_sidecar_reports_the_table_world(tmp_path):
+    rt, fi = write_tables(tmp_path)
+    out = tmp_path / "r.csv"
+    assert cli_main(["algoselect", "--k", "2", "--T", "3", "--reps", "1", "--runtimes", str(rt),
+                     "--instance-features", str(fi), "--out", str(out)]) == 0
+    config = json.loads((tmp_path / "r.csv.meta.json").read_text())["config"]
+    assert (config["n"], config["d"]) == world_size(rt, fi) == (20, 8)
+
+
+def test_algoselect_config_built_in_code_with_n_and_d_still_runs(tmp_path):
+    # As a benchmark builds one: n and d set, and not used by the table's world.
+    rt, fi = write_tables(tmp_path)
+    config = ExperimentConfig(environment="algoselect", n=7, d=3, k=2, T=3, reps=1,
+                              runtimes=str(rt), instance_features=str(fi))
+    result = run_experiment(config)
+    assert (result.config["n"], result.config["d"]) == world_size(rt, fi)
+    emit_results(result, tmp_path / "r.csv", "csv")
+    assert len((tmp_path / "r.csv").read_text().splitlines()) == 4
 
 
 @pytest.mark.parametrize("value, expected", [("0", 0), ("1", 0), ("-1", 1)])

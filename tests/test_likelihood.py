@@ -19,7 +19,7 @@ from preselect import (
     prob_partial_ranking,
     prob_top_rank,
 )
-from preselect.likelihood import _factors, _grad, _stage_terms
+from preselect.likelihood import _factors, _stage_pass
 from preselect.selfcheck import fd_gradient, fd_hessian, random_observation
 
 
@@ -242,7 +242,7 @@ class TestHessian:
 
 def means_hessian(theta, obs):
     """Reference Hessian in the means form: ``M M^T - X diag(colsums P) X^T``, M = X P^T."""
-    feats, _, _, probs = _stage_terms(theta, obs)
+    feats, _, _, probs, _ = _stage_pass(theta, obs)
     means = feats @ probs.T
     hess = means @ means.T - (feats * probs.sum(axis=0)) @ feats.T
     return (hess + hess.T) / 2.0
@@ -262,7 +262,7 @@ class TestHessianMeansOracle:
 
 
 class TestFusedGradientAndFactors:
-    """``_factors`` and ``_grad``, the carried estimator path's one stage pass."""
+    """``grad_loglik`` then ``_factors``, the carried estimator path's one stage pass."""
 
     @pytest.mark.parametrize("mode", ["winner", "ranking"])
     def test_matches_grad_and_hessian(self, mode):
@@ -272,12 +272,14 @@ class TestFusedGradientAndFactors:
             size = int(rng.integers(1, 6))
             obs = random_observation(rng, d, size + 2, size, mode)
             theta = rng.normal(size=d)
-            F, C, col_sums = _factors(theta, obs)
-            grad = _grad(F, len(obs.stages), col_sums)
-            assert np.array_equal(grad, grad_loglik(theta, obs))
+            grad = grad_loglik(theta, obs)
+            F, C = _factors(theta, obs)
+            assert F is obs._pass[1][0]  # the factors read the gradient's held pass
+            fresh = Observation(obs.feedback, obs.subset, obs.context)
+            assert np.array_equal(grad, grad_loglik(theta, fresh))
             # Relative to the whole matrix: a single small entry can lose
             # more digits to cancellation in either expression.
-            hess = hessian_loglik(theta, obs)
+            hess = hessian_loglik(theta, fresh)
             assert np.linalg.norm(F @ C @ F.T - hess) <= 1e-12 * np.linalg.norm(hess)
 
 

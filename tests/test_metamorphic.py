@@ -1,0 +1,134 @@
+"""Metamorphic tests: relabelling the arms or reordering the history changes nothing.
+
+A stream of (context, subset, feedback) rounds is recorded once and
+replayed, with no sampler, into fresh learners: the estimator through
+``sgd_update`` and the MM baseline through ``MMState.record``.  Relabelling
+every arm i as ``perm[i]`` must leave the estimate unchanged and relabel
+every choice and weight; the MM statistics must not depend on the order
+in which the rounds were recorded.
+
+A ranking observation's stage-ordered columns are the same columns in the
+same order under any labels, so its estimate keeps its bits.  A winner
+observation orders its losers by label, so its sums may round differently
+(1e-12 relative).  MM weights are compared at a tight fit (1e-10).
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from preselect import (
+    ContextMatrix,
+    EstimatorState,
+    MMState,
+    Observation,
+    Ranking,
+    RankingFeedback,
+    WinnerFeedback,
+    cppl_choose,
+    mm_fit,
+    sgd_update,
+)
+
+MODES = st.sampled_from(["winner", "ranking"])
+
+
+@st.composite
+def worlds(draw):
+    """Arms n, dimension d, subset size k, rounds T, a relabelling and a stream seed."""
+    n = draw(st.integers(2, 8))
+    return (n, draw(st.integers(1, 6)), draw(st.integers(1, n)), draw(st.integers(1, 40)),
+            np.array(draw(st.permutations(range(n)))), draw(st.integers(0, 2**32 - 1)))
+
+
+def record_stream(rng, n, d, k, T, mode):
+    """T rounds of uniform contexts, uniform subsets and uniform feedback on them."""
+    stream = []
+    for _ in range(T):
+        features = rng.uniform(size=(d, n))
+        order = [int(i) for i in rng.choice(n, size=k, replace=False)]
+        feedback = (WinnerFeedback(order[0]) if mode == "winner"
+                    else RankingFeedback(Ranking(order)))
+        stream.append((features, tuple(order), feedback))
+    return stream
+
+
+def relabel(stream, perm):
+    """The same rounds with arm i called ``perm[i]``: its column, its membership, its place."""
+    inverse = np.argsort(perm)
+    out = []
+    for features, subset, feedback in stream:
+        if isinstance(feedback, WinnerFeedback):
+            feedback = WinnerFeedback(int(perm[feedback.arm]))
+        else:
+            feedback = RankingFeedback(Ranking([int(perm[i]) for i in feedback.ranking.ordering]))
+        out.append((features[:, inverse], tuple(int(perm[i]) for i in subset), feedback))
+    return out
+
+
+def replay_estimator(stream, theta0):
+    state = EstimatorState(theta_hat=theta0, theta_bar=theta0.copy(), t=0,
+                           S_accum=np.zeros((theta0.size,) * 2),
+                           V_accum=np.zeros((theta0.size,) * 2), gamma1=2.0, alpha=0.6)
+    for features, subset, feedback in stream:
+        state = sgd_update(state, Observation(feedback, subset, ContextMatrix(features)))
+    return state
+
+
+def replay_mm(stream, n):
+    state = MMState.uniform(n)
+    for _, subset, feedback in stream:
+        state = state.record(subset, feedback)
+    return state
+
+
+def tight_fit(state):
+    return mm_fit(state, max_iters=5000, tol=1e-14).weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=worlds(), mode=MODES)
+def test_relabelled_arms_give_the_same_estimate_and_relabelled_choices(world, mode):
+    n, d, k, T, perm, seed = world
+    rng = np.random.default_rng(seed)
+    stream = record_stream(rng, n, d, k, T, mode)
+    theta0 = rng.uniform(size=d)
+    state = replay_estimator(stream, theta0)
+    moved = replay_estimator(relabel(stream, perm), theta0)
+    if mode == "ranking":
+        assert moved.theta_bar.tobytes() == state.theta_bar.tobytes()
+    else:
+        scale = max(np.abs(state.theta_bar).max(), 1.0)
+        assert np.abs(moved.theta_bar - state.theta_bar).max() <= 1e-12 * scale
+    # Max-Theta (omega = 0) on a fresh context of the relabelled world.
+    features = rng.uniform(size=(d, n))
+    context, moved_context = ContextMatrix(features), ContextMatrix(features[:, np.argsort(perm)])
+    for size in range(1, n):
+        choice = cppl_choose(state, context, size, 0.0).subset
+        moved_choice = cppl_choose(moved, moved_context, size, 0.0).subset
+        assert moved_choice == tuple(sorted(int(perm[i]) for i in choice))
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=worlds(), mode=MODES)
+def test_relabelled_arms_permute_the_mm_weights(world, mode):
+    n, d, k, T, perm, seed = world
+    stream = record_stream(np.random.default_rng(seed), n, d, k, T, mode)
+    weights = tight_fit(replay_mm(stream, n))
+    moved = tight_fit(replay_mm(relabel(stream, perm), n))
+    assert np.abs(moved[perm] - weights).max() <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=worlds(), mode=MODES)
+def test_recording_order_changes_no_mm_statistic(world, mode):
+    n, d, k, T, perm, seed = world
+    rng = np.random.default_rng(seed)
+    stream = record_stream(rng, n, d, k, T, mode)
+    state = replay_mm(stream, n)
+    shuffled = replay_mm([stream[i] for i in rng.permutation(T)], n)
+    assert np.array_equal(shuffled.wins, state.wins)
+    assert shuffled.set_counts == state.set_counts
+    assert np.array_equal(shuffled.reach, state.reach)
+    assert shuffled.observations == state.observations == T
+    assert np.abs(tight_fit(shuffled) - tight_fit(state)).max() <= 1e-10

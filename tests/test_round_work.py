@@ -32,7 +32,7 @@ from preselect import (
     prob_partial_ranking,
 )
 from preselect import estimator, likelihood
-from preselect.likelihood import _stage_terms, _symmetrize
+from preselect.likelihood import _stage_pass, _symmetrize
 from preselect.plackett_luce import _suffix_log_normalizers
 from preselect.selfcheck import random_observation
 
@@ -49,7 +49,7 @@ def fresh(obs):
 
 def uncached(theta, obs):
     """(loglik, grad, hess) by the formulas of an uncached pass, without ``_symmetrize``."""
-    feats, logits, lognorm, probs = _stage_terms(theta, fresh(obs))
+    feats, logits, lognorm, probs, _ = _stage_pass(theta, fresh(obs))
     m = lognorm.size
     col_sums = probs.sum(axis=0)
     core = probs.T @ probs
@@ -124,24 +124,35 @@ class TestHeldStagePass:
 
 
 def count_work(monkeypatch):
-    """Record each computed stage pass (its theta, and whether it gathered
-    its columns) and each public likelihood call that ``sgd_update`` makes."""
-    passes, calls = [], []
+    """Record each computed stage pass and each public likelihood call that
+    ``sgd_update`` makes.
 
-    def counted_stage_terms(theta, obs, feats=None, _fn=likelihood._stage_terms):
-        passes.append((np.array(theta), feats is None))
-        return _fn(theta, obs, feats)
+    A computed pass calls ``likelihood._suffix_log_normalizers`` once and
+    a held one not at all.  A call that leaves a new pass on its
+    observation records the point of that pass, and whether the pass
+    gathered its columns: it did unless it holds the X held before it.
+    """
+    computed, passes, calls = [], [], []
+
+    def counted_normalizers(logits, _fn=likelihood._suffix_log_normalizers):
+        computed.append(logits)
+        return _fn(logits)
 
     def counted(name, fn):
-        def call(*args):
+        def call(theta, obs):
+            before = obs._pass
+            result = fn(theta, obs)
             calls.append(name)
-            return fn(*args)
+            if obs._pass is not before:
+                gathered = before is None or obs._pass[1][0] is not before[1][0]
+                passes.append((np.array(theta), gathered))
+            return result
         return call
 
-    monkeypatch.setattr(likelihood, "_stage_terms", counted_stage_terms)
+    monkeypatch.setattr(likelihood, "_suffix_log_normalizers", counted_normalizers)
     monkeypatch.setattr(estimator, "grad_loglik", counted("grad", estimator.grad_loglik))
     monkeypatch.setattr(estimator, "hessian_loglik", counted("hess", estimator.hessian_loglik))
-    return passes, calls
+    return computed, passes, calls
 
 
 POLICIES = {
@@ -162,9 +173,10 @@ class TestWorkPerUpdate:
         rng = np.random.default_rng(8)
         d, n, k = 8, 10, 3  # 3 updates add rank <= 6 < d: CPPL stays fresh
         policy = POLICIES[policy](d, rng)
-        passes, calls = count_work(monkeypatch)
+        computed, passes, calls = count_work(monkeypatch)
         for _ in range(3):
             assert policy.state.S_accum_inv is None
+            computed.clear()
             passes.clear()
             calls.clear()
             theta_hat = policy.state.theta_hat
@@ -174,7 +186,7 @@ class TestWorkPerUpdate:
                         else RankingFeedback(Ranking(subset[::-1])))
             policy.update(feedback, subset, context)
             assert calls == ["grad", "grad", "hess"]
-            assert len(passes) == 2
+            assert len(computed) == len(passes) == 2
             assert np.array_equal(passes[0][0], theta_hat)
             assert np.array_equal(passes[1][0], policy.state.theta_bar)
             assert [gathered for _, gathered in passes] == [True, False]
@@ -188,9 +200,13 @@ class TestWorkPerUpdate:
             gamma1=2.0, alpha=0.6,
         )
         obs = random_observation(rng, d, 7, 3, "winner")
-        passes, calls = count_work(monkeypatch)
-        estimator.sgd_update(carried, obs)
-        assert calls == ["grad"]
+        computed, passes, calls = count_work(monkeypatch)
+        new = estimator.sgd_update(carried, obs)
+        assert new.S_accum_inv is not None
+        assert calls == ["grad", "grad"]
+        assert len(computed) == 2
+        assert np.array_equal(passes[0][0], carried.theta_hat)
+        assert np.array_equal(passes[1][0], new.theta_bar)
         assert [gathered for _, gathered in passes] == [True, False]
 
 
