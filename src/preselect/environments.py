@@ -23,7 +23,7 @@ whenever the best arm was preselected.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -166,10 +166,12 @@ class RuntimeTable:
         """This table with preprocessed instance features, and the kept columns.
 
         Computed on first use and kept with the table, so the repetitions
-        of an experiment, which share one loaded table, fit it once.
+        of an experiment, which share one loaded table, fit it once.  The
+        scaled features are finite, so the copy skips the table's checks.
         """
         reduced, kept = preprocess_features(self.instance_features)
-        return replace(self, instance_features=reduced), kept
+        return _unchecked(RuntimeTable, runtimes=self.runtimes, instance_features=reduced,
+                          solver_features=self.solver_features), kept
 
 
 def preprocess_features(raw: np.ndarray) -> tuple[np.ndarray, list[int]]:

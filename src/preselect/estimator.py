@@ -134,17 +134,6 @@ class EstimatorState:
         return self.theta_hat.size
 
 
-def _advance(state, **changes):
-    """``replace(state, **changes)`` without rerunning the constructor's checks.
-
-    For the internal steps of the estimator and of MM (``EstimatorState``
-    and ``policies.MMState``), which start from a checked state and set
-    fields to values of the kinds they replace; every other caller builds
-    a state through the constructor (or ``init`` / ``uniform``).
-    """
-    return _unchecked(type(state), state.__dict__, **changes)
-
-
 @dataclass(frozen=True)
 class ConfidenceWidths:
     """Per-arm estimated utilities and exploration bonuses for one round.
@@ -184,8 +173,9 @@ def sgd_update(state: EstimatorState, obs: Observation) -> EstimatorState:
         curvature = {"S_accum": state.S_accum + hessian_loglik(theta_bar, obs)}
     else:
         curvature = {"S_accum_inv": _woodbury_step(state.S_accum_inv, *_factors(theta_bar, obs))}
-    return _advance(
-        state,
+    return _unchecked(
+        EstimatorState,
+        state.__dict__,
         theta_hat=theta_hat,
         theta_bar=theta_bar,
         t=t_new,
@@ -231,7 +221,8 @@ def _attach_inverse(state: EstimatorState) -> EstimatorState:
     """
     if not _passes_ridge_test(state.S_accum / state.t):
         return state
-    return _advance(state, S_accum=None, S_accum_inv=np.linalg.inv(state.S_accum))
+    return _unchecked(EstimatorState, state.__dict__, S_accum=None,
+                      S_accum_inv=np.linalg.inv(state.S_accum))
 
 
 def _update_count(state: EstimatorState) -> int:

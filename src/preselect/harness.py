@@ -56,7 +56,7 @@ from .environments import (
     load_runtime_table,
     sample_feedback,
 )
-from .plackett_luce import _SETTING_RULES, _check_int, _check_k, _check_setting
+from .plackett_luce import _SETTING_RULES, _check_int, _check_k, _check_setting, _unchecked
 from .policies import CPPLPolicy, EpsilonGreedyPolicy, MMPolicy, Policy
 
 __all__ = [
@@ -264,7 +264,9 @@ def run_experiment(config: ExperimentConfig) -> AggregatedResult:
     if table is not None:  # the table, not the config, sets the arms and the dimension
         env = AlgoSelectEnvironment(table, lam=config.lam, rng=np.random.default_rng(0))
         echo.update(n=env.n, d=env.d)
-    return AggregatedResult(
+    # Float vectors, the standard errors >= 0: nothing for the constructor to check.
+    return _unchecked(
+        AggregatedResult,
         mean_cum_regret=mean,
         stderr=stderr,
         final_regrets=final,

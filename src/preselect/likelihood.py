@@ -13,7 +13,7 @@ accumulation, so every stage is shifted by its own maximum) and the choice
 probabilities P_ij = exp(l_j - lognorm_i) for j >= i, 0 for arms already
 taken (masked in log space, so nothing overflows).  Then
 
-    loglik = sum_i l_(i) - sum_i lognorm_i   (plackett_luce._log_prob_stages)
+    loglik = sum_i l_(i) - sum_i lognorm_i
     grad   = sum_i x_(i) - X (column sums of P)
     hess   = X C X^T,  C = P^T P - diag(column sums of P)  (k x k)
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from .plackett_luce import (
     ContextMatrix, Ranking, _check_int, _check_ranking, _check_subset, _check_theta,
-    _log_prob_stages, _suffix_log_normalizers,
+    _suffix_log_normalizers,
 )
 
 __all__ = [
@@ -150,9 +150,9 @@ def _symmetrize(A: np.ndarray) -> np.ndarray:
 
 
 def loglik(theta: np.ndarray, obs: Observation) -> float:
-    """Log-likelihood of ``theta`` for one observation (always <= 0)."""
-    logits = _stage_pass(theta, obs)[1]
-    return _log_prob_stages(logits, len(obs.stages))
+    """Log-likelihood of ``theta`` for one observation (always <= 0), read from its stage pass."""
+    _, logits, lognorm, _, _ = _stage_pass(theta, obs)
+    return float(logits[: lognorm.size].sum() - lognorm.sum())
 
 
 def grad_loglik(theta: np.ndarray, obs: Observation) -> np.ndarray:

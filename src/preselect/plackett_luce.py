@@ -212,10 +212,9 @@ def _unchecked(cls, fields=(), **changes):
     """An instance of the dataclass ``cls`` with ``fields`` updated by ``changes``,
     without running its checks.
 
-    For values that their maker knows to pass them: the estimator's and
-    MM's steps on a checked state (``estimator._advance``) and the worlds'
-    per-round contexts and utilities (both ``round`` methods).
-    Every other caller builds through the constructor.
+    The one construction rule: a value built from values its builder has
+    just checked or made goes through here; a value built from a caller's
+    arguments goes through its constructor, which checks them.
     """
     new = object.__new__(cls)
     new.__dict__.update(fields, **changes)
@@ -286,7 +285,8 @@ def sample_partial_ranking(
     utilities: UtilityVector, subset: Sequence[int], rng: np.random.Generator
 ) -> Ranking:
     """Draw a full ranking of ``subset`` exactly from the PL model: one stage per arm."""
-    return Ranking(_draw_stages(utilities, subset, len(subset), rng))
+    # The stages are distinct members of the subset ``_draw_stages`` checked.
+    return _unchecked(Ranking, ordering=tuple(_draw_stages(utilities, subset, len(subset), rng)))
 
 
 def sample_winner(

@@ -25,7 +25,8 @@ Policies:
   refits plain PL weights to them with a minorization-maximization
   iteration, and greedily plays the top-k arms by weight.  Arms beaten
   by arms they never beat back sit at a floor weight in closed form;
-  only the rest are swept.
+  only the rest are swept.  Among those floor arms, the fewer arms that
+  beat one, the earlier it is played.
 """
 
 from __future__ import annotations
@@ -38,15 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import (
-    EstimatorState,
-    _advance,
-    _attach_inverse,
-    confidence_widths,
-    sgd_update,
-)
+from .estimator import EstimatorState, _attach_inverse, confidence_widths, sgd_update
 from .likelihood import Feedback, Observation, WinnerFeedback, _check_feedback
-from .plackett_luce import ContextMatrix, _check_int, _check_k, _check_setting
+from .plackett_luce import ContextMatrix, _check_int, _check_k, _check_setting, _unchecked
 
 __all__ = [
     "PolicyDecision",
@@ -199,8 +194,8 @@ class MMState:
                 if reach is self.reach:
                     reach = reach.copy()
                 reach |= np.outer(reach[:, winner], target)
-        return _advance(self, wins=wins, set_counts=set_counts, reach=reach,
-                        observations=self.observations + 1)
+        return _unchecked(MMState, self.__dict__, wins=wins, set_counts=set_counts, reach=reach,
+                          observations=self.observations + 1)
 
 
 class _Restriction(NamedTuple):
@@ -209,7 +204,7 @@ class _Restriction(NamedTuple):
     Built for one ``reach`` array and the first ``len(incidence)`` keys of
     ``set_counts``; ``_restrict`` reuses it while neither changes.  A state
     carries the one it was last fitted on in its ``_restriction`` field,
-    and ``_advance`` passes it on.
+    and ``record`` passes it on.
     """
 
     reach: np.ndarray
@@ -280,7 +275,7 @@ def mm_fit(state: MMState, max_iters: int = 100, tol: float = 1e-8) -> MMState:
             w * (r.mass / w.sum()), state.wins[r.free].astype(float), r.A, m[r.rows],
             r.mass, max_iters, tol,
         )
-    return _advance(state, weights=weights, _restriction=r)
+    return _unchecked(MMState, state.__dict__, weights=weights, _restriction=r)
 
 
 def _squarem(w, wins, A, m, mass, max_iters, tol):
@@ -406,7 +401,14 @@ class MMPolicy(Policy):
         self.state = MMState.uniform(n)
 
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
-        return PolicyDecision(top_k_subset(self.state.weights, k))
+        """Top-k by fewest dominators (see ``MMState``), then weight, then index.
+
+        Dominated arms share the floor weight.  A fitted or uniform state's
+        weights lie in (0, 1], so subtracting the integer count orders by both keys.
+        """
+        reach = self.state.reach
+        dominators = (reach & ~reach.T).sum(axis=0)
+        return PolicyDecision(top_k_subset(self.state.weights - dominators, k))
 
     def _update(self, feedback, subset, context) -> None:
         self.state = mm_fit(self.state.record(subset, feedback))

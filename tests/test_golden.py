@@ -14,6 +14,7 @@ CHANGES.md.  The mm hashes pin the MM refit's rule: arms beaten by arms
 they never beat back sit at the weight floor in closed form, unseen
 arms at 1/n, and only the rest are swept, with SQUAREM steps; the fit
 stops at the first sweep that moves no weight by 1e-8 (ROADMAP item 7).
+They also pin MM's choice: fewest dominators first, then weight.
 
 Three more configs pin the carried-inverse (Woodbury) path of
 ``estimator``, which every cppl run takes once its warm-up ends: cppl
@@ -30,9 +31,9 @@ from preselect import ExperimentConfig, emit_results, run_experiment
 GOLDEN = {
     ("cppl", "winner"): "b82397c428349debb569c33a62145e29b6523ff882128f31d5e6d5380f178c46",
     ("egreedy", "winner"): "92593b65363ada3a7cd7cf26ce2d9790d6ac4a87930b4b92cef3c7504a4ce895",
-    ("mm", "winner"): "16b1b4333278012a08aa2da568b782f8152bb145d77e25d747d7c9e3fdf6c3aa",
+    ("mm", "winner"): "74770e06ff660e2de1269691ccf3ae097b7c9ce49c0c7d14b46ba1bfc303fc2f",
     ("cppl", "ranking"): "22ed1f8cdbd3be1e5a3e955f4e83dabab84b760df13451329247bd6d61a74bc5",
-    ("mm", "ranking"): "6c7cbbe1f4deab3fa18e948f5cbb673bc622903d1148fe815ad2ccf863c11ec1",
+    ("mm", "ranking"): "409a1978f2c4c80f9c1be6e8962d908ec4847907a3b92f43188f36c54c3e0da3",
     ("egreedy", "ranking"): "d2b584bef88b917b2026a39a941f27a716a8e45ed4429b53cbf5a3f3e6e8c87b",
     ("maxtheta", "winner"): "3382b8aa654d5b67cd9fe86d6cfbf6061d44c67dbe9b046968f019614dcee424",
 }

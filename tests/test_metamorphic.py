@@ -5,7 +5,9 @@ replayed, with no sampler, into fresh learners: the estimator through
 ``sgd_update`` and the MM baseline through ``MMState.record``.  Relabelling
 every arm i as ``perm[i]`` must leave the estimate unchanged and relabel
 every choice and weight; the MM statistics must not depend on the order
-in which the rounds were recorded.
+in which the rounds were recorded.  CPPL (omega = 1) learns from the
+recorded rounds through ``CPPLPolicy.update``, so its carried inverse and
+its widths are relabelled too.
 
 A ranking observation's stage-ordered columns are the same columns in the
 same order under any labels, so its estimate keeps its bits.  A winner
@@ -14,17 +16,20 @@ observation orders its losers by label, so its sums may round differently
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preselect import (
     ContextMatrix,
+    CPPLPolicy,
     EstimatorState,
     MMState,
     Observation,
     Ranking,
     RankingFeedback,
     WinnerFeedback,
+    confidence_widths,
     cppl_choose,
     mm_fit,
     sgd_update,
@@ -107,6 +112,53 @@ def test_relabelled_arms_give_the_same_estimate_and_relabelled_choices(world, mo
         choice = cppl_choose(state, context, size, 0.0).subset
         moved_choice = cppl_choose(moved, moved_context, size, 0.0).subset
         assert moved_choice == tuple(sorted(int(perm[i]) for i in choice))
+
+
+@st.composite
+def cppl_worlds(draw):
+    """As ``worlds`` without d, with enough rounds of two or more arms for
+    CPPL to carry its inverse."""
+    n = draw(st.integers(3, 8))
+    return (n, draw(st.integers(2, n)), draw(st.integers(12, 30)),
+            np.array(draw(st.permutations(range(n)))), draw(st.integers(0, 2**32 - 1)))
+
+
+def ucb_scores(state, context):
+    """The scores ``cppl_choose`` ranks at omega = 1: logits before the first update."""
+    if state.t == 0:
+        return state.theta_bar @ context.features
+    cw = confidence_widths(state, context, 1.0)
+    return cw.utilities + cw.widths
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("mode", ["winner", "ranking"])
+@settings(max_examples=20, deadline=None)
+@given(world=cppl_worlds())
+def test_relabelled_arms_relabel_the_cppl_choices(world, mode, d):
+    # The recorded rounds teach both learners; at every round, each subset
+    # size whose k-th and (k+1)-th scores are apart is chosen relabelled.
+    n, k, T, perm, seed = world
+    rng = np.random.default_rng(seed)
+    stream = record_stream(rng, n, d, k, T, mode)
+    policy, moved = (CPPLPolicy(d, np.random.default_rng(seed), omega=1.0) for _ in range(2))
+    compared = 0
+    for (features, subset, feedback), (moved_features, moved_subset, moved_feedback) in zip(
+        stream, relabel(stream, perm)
+    ):
+        context, moved_context = ContextMatrix(features), ContextMatrix(moved_features)
+        ranked = np.sort(ucb_scores(policy.state, context))[::-1]
+        for size in range(1, n):
+            kth, next_ = ranked[size - 1], ranked[size]
+            if kth - next_ > 1e-9 * max(abs(kth), abs(next_)):
+                choice = policy.choose(context, size).subset
+                moved_choice = moved.choose(moved_context, size).subset
+                assert moved_choice == tuple(sorted(int(perm[i]) for i in choice))
+                compared += 1
+        policy.update(feedback, subset, context)
+        moved.update(moved_feedback, moved_subset, moved_context)
+    assert policy.state.S_accum_inv is not None  # the carried path ran
+    assert compared >= T
 
 
 @settings(max_examples=100, deadline=None)

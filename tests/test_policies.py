@@ -483,8 +483,8 @@ class TestMMState:
         # ``record`` and one in ``mm_fit``.
         policy = MMPolicy(4)
         built, checks = [], []
-        original = policies._advance
-        monkeypatch.setattr(policies, "_advance",
+        original = policies._unchecked
+        monkeypatch.setattr(policies, "_unchecked",
                             lambda *a, **kw: built.append(1) or original(*a, **kw))
         monkeypatch.setattr(MMState, "__post_init__", lambda self: checks.append(1))
         context = ContextMatrix(np.zeros((1, 4)))
@@ -513,6 +513,17 @@ class TestMMChoose:
         w = rng.dirichlet(np.ones(7))
         state = MMState(weights=w)
         assert mm_choice(state, 3) == exhaustive_top_k(w, 3)
+
+    def test_floor_arms_are_filled_by_fewest_dominators_not_by_index(self):
+        # Arm 0 beats everyone; arm 3 also beats arm 1.  Only arm 0 is free,
+        # so arms 1, 2 and 3 share the floor weight, and arm 1, beaten by
+        # two arms, comes after arms 2 and 3, beaten by one each.
+        state = MMState.uniform(4)
+        state = state.record((0, 1, 3), RankingFeedback(Ranking((0, 3, 1))))
+        state = mm_fit(state.record((0, 2), WinnerFeedback(0)))
+        assert state.weights[1] == state.weights[2] == state.weights[3]
+        assert mm_choice(state, 2) == (0, 2)
+        assert mm_choice(state, 3) == (0, 2, 3)
 
 
 class TestPolicyInterface:

@@ -1,4 +1,5 @@
-"""Each round's work is computed once: held stage passes, unchecked world rounds.
+"""Each round's work is computed once: held stage passes, unchecked world rounds
+and values built from checked values without rerunning the checks.
 
 The fast paths must give the bits of the paths they replace: a held stage
 pass the bits of a fresh one, a world's unchecked round the values of the
@@ -12,10 +13,12 @@ import numpy as np
 import pytest
 
 from preselect import (
+    AggregatedResult,
     AlgoSelectEnvironment,
     ContextMatrix,
     CPPLPolicy,
     EpsilonGreedyPolicy,
+    ExperimentConfig,
     Observation,
     Ranking,
     RankingFeedback,
@@ -30,11 +33,15 @@ from preselect import (
     instant_regret,
     loglik,
     prob_partial_ranking,
+    run_experiment,
+    run_repetition,
+    sample_partial_ranking,
 )
-from preselect import estimator, likelihood
+from preselect import estimator, likelihood, plackett_luce
 from preselect.likelihood import _stage_pass, _symmetrize
 from preselect.plackett_luce import _suffix_log_normalizers
 from preselect.selfcheck import random_observation
+from test_harness import write_algoselect_tables
 
 
 def same_bits(a, b):
@@ -112,6 +119,22 @@ class TestHeldStagePass:
         columns = obs._pass[1][0]
         hessian_loglik(rng.normal(size=5), obs)
         assert obs._pass[1][0] is columns
+
+    @pytest.mark.parametrize("mode", ["winner", "ranking"])
+    def test_loglik_after_grad_at_the_same_point_computes_no_pass(self, monkeypatch, rng, mode):
+        # Count the normalizers wherever a caller looks them up.
+        computed = []
+        for module in (likelihood, plackett_luce):
+            monkeypatch.setattr(module, "_suffix_log_normalizers",
+                                lambda logits, _fn=_suffix_log_normalizers:
+                                computed.append(1) or _fn(logits))
+        obs = random_observation(rng, 5, 8, 4, mode)
+        theta = rng.normal(size=5)
+        grad_loglik(theta, obs)
+        assert len(computed) == 1
+        value = loglik(theta, obs)
+        assert len(computed) == 1
+        assert same_bits(value, loglik(theta, fresh(obs)))
 
     def test_the_pass_is_no_field_of_the_observation(self, rng):
         obs = random_observation(rng, 3, 5, 2, "winner")
@@ -247,6 +270,57 @@ class TestWorldRounds:
             assert type(context) is ContextMatrix and type(utils) is UtilityVector
             assert same_bits(context.features, want.features)
             assert same_bits(utils.log_values, want_utils.log_values)
+
+
+def count_checks(monkeypatch, cls):
+    """Count the runs of ``cls.__post_init__``, which keeps its checks."""
+    runs = []
+    original = cls.__post_init__
+
+    def counted(self):
+        runs.append(1)
+        original(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return runs
+
+
+class TestConstructorChecks:
+    """Clock-free counts: a value built from checked values skips its constructor's checks,
+    which every outside caller still runs."""
+
+    @pytest.mark.parametrize("policy", ["cppl", "mm"])
+    def test_a_ranking_round_checks_no_ranking(self, monkeypatch, policy):
+        runs = count_checks(monkeypatch, Ranking)
+        config = ExperimentConfig(policy=policy, feedback="ranking", n=8, d=3, k=4, T=25, reps=1)
+        run_repetition(config, 0)
+        assert not runs
+        Ranking((2, 0, 1))
+        assert len(runs) == 1
+
+    def test_a_sampled_ranking_equals_the_checked_build(self, rng):
+        utils = UtilityVector(rng.normal(size=9))
+        for subset in [(4,), (0, 8, 3), np.array([7, 1, 5, 2]), tuple(range(9))]:
+            ranking = sample_partial_ranking(utils, subset, rng)
+            assert type(ranking) is Ranking and ranking == Ranking(ranking.ordering)
+            assert type(ranking.ordering) is tuple
+            assert all(type(arm) is int for arm in ranking.ordering)
+            assert ranking.items == tuple(sorted(int(arm) for arm in subset))
+
+    def test_an_algoselect_experiment_checks_its_table_once_and_no_result(
+        self, monkeypatch, tmp_path
+    ):
+        tables = count_checks(monkeypatch, RuntimeTable)
+        results = count_checks(monkeypatch, AggregatedResult)
+        runtimes, features = write_algoselect_tables(tmp_path)
+        config = ExperimentConfig(environment="algoselect", runtimes=runtimes,
+                                  instance_features=features, k=5, T=10, reps=2)
+        result = run_experiment(config)
+        assert len(tables) == 1 and not results
+        assert type(result) is AggregatedResult and result.T == 10
+        AggregatedResult(mean_cum_regret=result.mean_cum_regret, stderr=result.stderr,
+                         final_regrets=result.final_regrets)
+        assert len(results) == 1
 
 
 class TestSameBitsCheaperForms:
