@@ -412,12 +412,12 @@ def load_runtime_table(
 ) -> RuntimeTable:
     """Load a runtime table from CSV files.
 
-    ``runtimes_path``: header ``instance_id,solver_0,...,solver_{m-1}``,
-    one row per instance, each id on one row only.
-    ``instance_features_path``: header ``instance_id,f0,...,f{p-1}``,
-    with the same ids in the same order.  ``solver_features_path``:
-    columns ``alpha,rho,ps,wp``; defaults to the bundled solver
-    parametrization fixture.
+    ``runtimes_path``: header ``instance_id,solver_0,...,solver_{m-1}``, one
+    row per instance, each id on one row only.  ``instance_features_path``:
+    header ``instance_id,f0,...,f{p-1}``, with the same ids in the same order.
+    ``solver_features_path``: columns ``alpha,rho,ps,wp``; defaults to the
+    bundled solver parametrization fixture.  The readers check every cell and
+    this function the ids and the solver count, so the table skips its checks.
     """
     ids, runtimes = _read_keyed(runtimes_path, nonnegative=True)
     feat_ids, feats = _read_keyed(instance_features_path)
@@ -431,7 +431,8 @@ def load_runtime_table(
         source = solver_features_path or "the bundled solver features"
         raise ValueError(f"{runtimes_path} has {runtimes.shape[1]} solver columns, "
                          f"but {source} has {solver.shape[0]} solver rows")
-    return RuntimeTable(runtimes=runtimes, instance_features=feats, solver_features=solver)
+    return _unchecked(RuntimeTable, runtimes=runtimes, instance_features=feats,
+                      solver_features=solver)
 
 
 def load_solver_features(path: str | Path) -> np.ndarray:

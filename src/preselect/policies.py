@@ -25,8 +25,8 @@ Policies:
   refits plain PL weights to them with a minorization-maximization
   iteration, and greedily plays the top-k arms by weight.  Arms beaten
   by arms they never beat back sit at a floor weight in closed form;
-  only the rest are swept.  Among those floor arms, the fewer arms that
-  beat one, the earlier it is played.
+  only the rest are swept.  Those floor arms are played after all the
+  rest, and the fewer arms that beat one, the earlier it is played.
 """
 
 from __future__ import annotations
@@ -214,10 +214,11 @@ class _Restriction(NamedTuple):
     A: np.ndarray  # incidence[rows][:, free]
     fixed: np.ndarray  # weights of the other arms: floor or 1/n; 0 at the free arms
     mass: float  # 1 - fixed.sum(), the free arms' total weight
+    dominators: np.ndarray  # per arm, the arms that reach it and that it does not reach back
 
 
 def _restrict(state: MMState) -> _Restriction:
-    """The free arms and their sets, rebuilt only when ``reach`` or the set list changed."""
+    """The free arms, their sets and dominator counts, rebuilt when ``reach`` or the sets change."""
     old = state._restriction
     sets = state.set_counts
     incidence = None if old is None else old.incidence
@@ -234,12 +235,13 @@ def _restrict(state: MMState) -> _Restriction:
         return old
     reach = state.reach
     seen = incidence.any(axis=0)
-    dominated = (reach & ~reach.T).any(axis=0)
-    free = np.flatnonzero(seen & ~dominated)
+    dominators = (reach & ~reach.T).sum(axis=0)
+    free = np.flatnonzero(seen & (dominators == 0))
     restricted = incidence[:, free]
     rows = np.flatnonzero(restricted.any(axis=1))
-    fixed = np.where(dominated, _WEIGHT_FLOOR, np.where(seen, 0.0, 1.0 / state.n))
-    return _Restriction(reach, incidence, free, rows, restricted[rows], fixed, 1.0 - fixed.sum())
+    fixed = np.where(dominators > 0, _WEIGHT_FLOOR, np.where(seen, 0.0, 1.0 / state.n))
+    return _Restriction(reach, incidence, free, rows, restricted[rows], fixed,
+                        1.0 - fixed.sum(), dominators)
 
 
 def mm_fit(state: MMState, max_iters: int = 100, tol: float = 1e-8) -> MMState:
@@ -401,14 +403,11 @@ class MMPolicy(Policy):
         self.state = MMState.uniform(n)
 
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
-        """Top-k by fewest dominators (see ``MMState``), then weight, then index.
-
-        Dominated arms share the floor weight.  A fitted or uniform state's
-        weights lie in (0, 1], so subtracting the integer count orders by both keys.
-        """
-        reach = self.state.reach
-        dominators = (reach & ~reach.T).sum(axis=0)
-        return PolicyDecision(top_k_subset(self.state.weights - dominators, k))
+        """Top-k by fewest dominators (see ``MMState``), then weight, then index."""
+        # Sort, not subtract: a free arm's fit can sit below the floor, a hand-built weight above 1.
+        _check_k(k, self.state.n)
+        order = np.lexsort((-self.state.weights, _restrict(self.state).dominators))
+        return PolicyDecision(tuple(sorted(order[:k].tolist())))
 
     def _update(self, feedback, subset, context) -> None:
         self.state = mm_fit(self.state.record(subset, feedback))

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preselect import (
     ContextMatrix,
@@ -524,6 +526,48 @@ class TestMMChoose:
         assert state.weights[1] == state.weights[2] == state.weights[3]
         assert mm_choice(state, 2) == (0, 2)
         assert mm_choice(state, 3) == (0, 2, 3)
+
+    def test_free_arm_fitted_below_the_floor_comes_before_dominated_arms(self):
+        # Arm 4 beats arm 3, so arm 3 sits at the floor with one dominator.
+        # Arm 1 wins 20 of 21 stages against arm 0, arm 2 beats both, and
+        # arm 1 beats arm 2 back: arms 0-2 are free again, but restart from
+        # the floor, and the fit stops with arm 0 below it.
+        history = ([((3, 4), 4), ((0, 1), 0)] + [((0, 1), 1)] * 20
+                   + [((0, 1, 2), 2), ((1, 2), 1)])
+        policy, context = MMPolicy(5), ContextMatrix(np.zeros((1, 5)))
+        for subset, winner in history:
+            policy.update(WinnerFeedback(winner), subset, context)
+        assert policy.state.weights[0] < policy.state.weights[3] == 1e-12
+        assert policy.choose(context, 4).subset == (0, 1, 2, 4)
+
+    def test_hand_built_weights_above_one_keep_dominated_arms_last(self):
+        # Arm 0 beat arm 1, so arm 1 is dominated whatever weight it is given.
+        reach = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=bool)
+        state = MMState(weights=np.array([0.1, 3.0, 0.2]), wins=np.array([1, 0, 0]),
+                        set_counts={(0, 1): 1}, observations=1, reach=reach)
+        assert mm_choice(state, 1) == (2,)
+        assert mm_choice(state, 2) == (0, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 8), T=st.integers(1, 30), mode=st.sampled_from(["winner", "ranking"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_plays_fewest_dominators_then_weight_then_index(self, n, T, mode, seed):
+        # After every round of a random history, each k takes the first k
+        # arms in (dominators by Warshall's closure, -weight, index) order.
+        rng = np.random.default_rng(seed)
+        policy, history = MMPolicy(n), []
+        context = ContextMatrix(np.zeros((1, n)))
+        for _ in range(T):
+            order = [int(i) for i in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+            feedback = (WinnerFeedback(order[0]) if mode == "winner"
+                        else RankingFeedback(Ranking(order)))
+            history.append((tuple(sorted(order)), feedback))
+            policy.update(feedback, history[-1][0], context)
+            reach = warshall_closure(n, raw_stages(history))
+            dominators, w = (reach & ~reach.T).sum(axis=0), policy.state.weights
+            ranked = sorted(range(n), key=lambda i: (dominators[i], -w[i], i))
+            for k in range(1, n):
+                assert policy.choose(context, k).subset == tuple(sorted(ranked[:k]))
 
 
 class TestPolicyInterface:

@@ -316,7 +316,7 @@ class TestConstructorChecks:
         config = ExperimentConfig(environment="algoselect", runtimes=runtimes,
                                   instance_features=features, k=5, T=10, reps=2)
         result = run_experiment(config)
-        assert len(tables) == 1 and not results
+        assert not tables and not results
         assert type(result) is AggregatedResult and result.T == 10
         AggregatedResult(mean_cum_regret=result.mean_cum_regret, stderr=result.stderr,
                          final_regrets=result.final_regrets)
