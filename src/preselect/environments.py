@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -238,11 +238,99 @@ def sample_feedback(
 # ---------------------------------------------------------------------------
 
 
+# numpy's ``SeedSequence`` hash constants, and the rounds that share one seed-word block.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the entropy mixer's hash chain
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # ``generate_state``'s hash chain
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715  # the mixer's two multipliers
+_BLOCK = 256
+
+
+def _words(value: int) -> list[int]:
+    """``value``'s 32-bit words, least significant first (0 is one word), as numpy splits it."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash(values: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
+    """numpy's ``SeedSequence`` hash of the columns of ``values``, in turn, along the
+    32-bit chain ``h -> h * mult``, and the chain's last link.
+
+    Column j is xor-ed with the chain's j-th link, multiplied by the next
+    one and xor-ed with itself shifted right by 16.
+    """
+    links = [h]
+    for _ in range(values.shape[-1]):
+        links.append(links[-1] * mult & _MASK32)
+    hashed = (values ^ np.array(links[:-1], np.uint32)) * np.array(links[1:], np.uint32)
+    return hashed ^ (hashed >> 16), links[-1]
+
+
+def _key_prefix(seed: int) -> tuple[np.ndarray, int]:
+    """The pool and hash constant that every ``SeedSequence(seed, spawn_key=(3, t))``
+    reaches after mixing in the seed and the key word 3, before t.
+
+    The pool is ``SeedSequence(seed, spawn_key=(3,))``'s.  The mixer has
+    hashed 16 words for the seed's first 4 (padded) words and their
+    cross-mix, then 4 for each later seed word and for the 3.
+    """
+    pool = np.random.SeedSequence(seed, spawn_key=(3,)).pool
+    hashes = 16 + 4 * (max(4, len(_words(seed))) - 3)
+    return pool, _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _MASK32
+
+
+def _block_seed_words(prefix: tuple[np.ndarray, int], block: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(3, t)).generate_state(4, np.uint64)`` for the
+    256 rounds ``t = 256 * block + i``, row i, computed as numpy computes it.
+
+    From the seed's ``_key_prefix``, each of t's 32-bit words is hashed
+    into the four pool words, and the pool is hashed out into eight state
+    words.  Within the block only t's low word varies, so each step runs
+    over the block as one wrapping ``uint32`` array operation; the hash
+    chain stays in Python ints, which cannot overflow.
+    """
+    pool, h = prefix
+    t_words = np.array(_words(_BLOCK * block), np.uint32)[:, None].repeat(_BLOCK, axis=1)
+    t_words[0] += np.arange(_BLOCK, dtype=np.uint32)
+    for word in t_words:
+        hashed, h = _hash(word[:, None].repeat(4, axis=1), h, _MULT_A)
+        mixed = pool * _MIX_L - hashed * _MIX_R
+        pool = mixed ^ (mixed >> 16)
+    state, _ = _hash(np.tile(pool, 2), _INIT_B, _MULT_B)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@cache
+def _seed_words_type() -> type:
+    """An ``ISeedSequence`` that hands PCG64 one round's precomputed
+    ``generate_state(4, np.uint64)``, the only call PCG64 makes.
+
+    Defined at the first round, not at import: importing ``numpy.random``
+    ahead of the rest of the package raised peak RSS by about 0.6 MB.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
 class SyntheticEnvironment:
     """Synthetic world with a hidden parameter and a fresh context per round."""
 
     def __init__(self, scenario: SyntheticScenario):
         self.scenario = scenario
+        self._prefix = None  # the seed's ``_key_prefix``, built at the first round
+        self._block = (-1, None)  # (block index, its rounds' seed words)
 
     @property
     def n(self) -> int:
@@ -255,18 +343,29 @@ class SyntheticEnvironment:
     def round(self, t: int) -> tuple[ContextMatrix, UtilityVector]:
         """Fresh d x n context with i.i.d. uniform [0, 1] entries, and its true utilities.
 
-        The draw comes from a child stream of ``(scenario.seed, t)`` alone,
-        so the same round always yields the same matrix, however many
-        draws other rounds or the policy consumed.  Uniform draws and a
-        ``theta_star`` in [0, 1]^d are finite, so neither value is rechecked.
+        The draw is numpy's, bit for bit:
+        ``default_rng(SeedSequence(entropy=seed, spawn_key=(3, t))).random((d, n))``.
+        It depends on ``(scenario.seed, t)`` alone, so the same round always
+        yields the same matrix, in any call order, however many draws other
+        rounds or the policy consumed.  The sequence itself is not built:
+        its PCG64 seed words are derived 256 rounds at a time and kept for
+        the current block.  Uniform draws and a ``theta_star`` in [0, 1]^d
+        are finite, so neither value is rechecked.
         """
         sc = self.scenario
         t = _check_int(t, "round index")
         if t < 1 or (sc.T > 0 and t > sc.T):
             raise ValueError(f"round index {t} outside 1..{sc.T}")
-        stream = np.random.SeedSequence(entropy=sc.seed, spawn_key=(3, t))
+        block, row = divmod(t, _BLOCK)
+        index, words = self._block
+        if index != block:
+            if self._prefix is None:
+                self._prefix = _key_prefix(sc.seed)
+            words = _block_seed_words(self._prefix, block)
+            self._block = (block, words)
+        rng = np.random.Generator(np.random.PCG64(_seed_words_type()(words[row])))
         # ``random`` draws the bits of ``uniform(size=...)`` (0 + 1 * x), without its scaling.
-        features = np.random.default_rng(stream).random((sc.d, sc.n))
+        features = rng.random((sc.d, sc.n))
         return (_unchecked(ContextMatrix, features=features),
                 _unchecked(UtilityVector, log_values=sc.theta_star @ features))
 

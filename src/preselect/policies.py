@@ -263,8 +263,10 @@ def mm_fit(state: MMState, max_iters: int = 100, tol: float = 1e-8) -> MMState:
     from ``w - 2 a r + a^2 v`` if that point is positive and its
     log-likelihood on the swept stages is no lower than w's, and from w2
     otherwise.  The iteration warm-starts from ``state.weights`` and
-    returns the output of the first sweep that moves no weight by
-    ``tol``, or of sweep ``max_iters``.
+    returns the output of the first sweep that moves no weight by more
+    than ``tol`` of its value, or of sweep ``max_iters``.  The stop is
+    relative because an arm that leaves the floor restarts at 1e-12,
+    where no step reaches an absolute 1e-8.
     """
     if not state.observations:
         raise ValueError("cannot fit with an empty history")
@@ -297,12 +299,12 @@ def _squarem(w, wins, A, m, mass, max_iters, tol):
         w1 = sweep(w)
         r = w1 - w
         sweeps += 1
-        if sweeps == max_iters or np.maximum.reduce(np.abs(r)) < tol:
+        if sweeps == max_iters or np.maximum.reduce(np.abs(r) / w) < tol:
             return w1
         w2 = sweep(w1)
         d = w2 - w1
         sweeps += 1
-        if sweeps == max_iters or np.maximum.reduce(np.abs(d)) < tol:
+        if sweeps == max_iters or np.maximum.reduce(np.abs(d) / w1) < tol:
             return w2
         v = d - r
         rr, vv = r.dot(r), v.dot(v)

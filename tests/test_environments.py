@@ -107,6 +107,53 @@ class TestSyntheticRound:
             SyntheticScenario(**sizes, theta_star=np.full(3, 0.5))
 
 
+def numpy_round(seed, t, d=3, n=7):
+    """Round t's context as numpy draws it from the ``(seed, t)`` sequence."""
+    stream = np.random.SeedSequence(entropy=seed, spawn_key=(3, t))
+    return np.random.default_rng(stream).random((d, n))
+
+
+def unbounded_env(seed):
+    return SyntheticEnvironment(
+        SyntheticScenario(n=7, d=3, k=2, T=0, theta_star=np.full(3, 0.5), seed=seed))
+
+
+class TestSyntheticStream:
+    """Round t is numpy's ``(seed, t)`` stream, bit for bit, however the rounds are asked for."""
+
+    @pytest.mark.parametrize("seed", [0, 13, 2**32, 2**130])
+    @pytest.mark.parametrize("t", [1, 255, 256, 257, 2**32 - 1, 2**32 + 1, 2**40, 2**64 + 9])
+    def test_round_is_the_numpy_stream(self, seed, t):
+        assert np.array_equal(unbounded_env(seed).round(t)[0].features, numpy_round(seed, t))
+
+    def test_rounds_asked_for_out_of_order(self):
+        env = unbounded_env(5)
+        for t in (257, 1, 256, 2**40, 255, 2**32 + 1, 257, 1, 2**40, 512, 511):
+            assert np.array_equal(env.round(t)[0].features, numpy_round(5, t)), t
+
+    def test_two_environments_interleaved(self):
+        envs = {seed: unbounded_env(seed) for seed in (0, 2**32)}
+        for t in range(250, 263):
+            for seed, env in envs.items():
+                assert np.array_equal(env.round(t)[0].features, numpy_round(seed, t)), (seed, t)
+
+    def test_rounds_build_at_most_one_seed_sequence(self, monkeypatch):
+        # A count, not a timer: the seed words come 256 rounds at a time
+        # from one prefix, not from a sequence built per round.
+        built = []
+        original = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        env = unbounded_env(13)
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        for t in range(1, 301):
+            env.round(t)
+        assert len(built) <= 1
+
+
 class TestInstantRegret:
     def test_zero_when_best_arm_included(self):
         utils = UtilityVector.from_values([4.0, 2.0, 1.0])

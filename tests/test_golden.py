@@ -13,7 +13,8 @@ A change that is allowed to move numbers re-pins them and says so in
 CHANGES.md.  The mm hashes pin the MM refit's rule: arms beaten by arms
 they never beat back sit at the weight floor in closed form, unseen
 arms at 1/n, and only the rest are swept, with SQUAREM steps; the fit
-stops at the first sweep that moves no weight by 1e-8 (ROADMAP item 7).
+stops at the first sweep that moves no weight by more than 1e-8 of its
+value (ROADMAP item 7).
 They also pin MM's choice: fewest dominators first, then weight.
 
 Three more configs pin the carried-inverse (Woodbury) path of
