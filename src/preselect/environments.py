@@ -15,6 +15,10 @@ Instance features pass through a fixed preprocessing pipeline before the
 run: min-max scaling to [0, 1], a variance filter, and greedy pruning of
 highly correlated columns.
 
+The table's CSV files are each parsed in one numpy pass, ids and numbers
+alike; a file that breaks a rule is then scanned line by line, only to
+name the file, line and column at fault.
+
 Regret for a chosen subset is the relative utility gap between the
 overall best arm and the best arm inside the subset; it vanishes
 whenever the best arm was preselected.
@@ -23,10 +27,13 @@ whenever the best arm was preselected.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -434,8 +441,86 @@ class AlgoSelectEnvironment:
 # ---------------------------------------------------------------------------
 
 
-def _read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header (names distinct) and nonblank rows (at least one) of a CSV, each row with its line."""
+_FIELD_LIMIT = 131_072  # the longest cell, in characters (the csv module's default limit)
+_CSV = dict(delimiter=",", quotechar='"', comments=None)  # the one CSV dialect, for numpy's parser
+
+
+def _read_table(
+    path: str | Path, columns: list[str] | None = None, nonnegative: bool = False
+) -> tuple[list[str], np.ndarray]:
+    """The ids and the number cells of a CSV table, parsed in one numpy C pass.
+
+    A keyed table (``columns`` None) has ``instance_id`` as its first
+    column, and its ids are returned; otherwise the header must be
+    ``columns`` and the id list is empty.  Every cell after the ids must be
+    a decimal number that numpy reads (the same double as Python's
+    ``float``), finite, and nonnegative if asked; no cell may hold more
+    than ``_FIELD_LIMIT`` characters.  A table that breaks a rule is
+    handed to ``_explain``, whose line-by-line scan raises the error.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _parse(data, columns, nonnegative)
+    except (ValueError, csv.Error) as exc:  # decoding, the header, numpy's parser, or a rule
+        _explain(path, columns, nonnegative, exc)
+
+
+def _parse(
+    data: bytes, columns: list[str] | None, nonnegative: bool
+) -> tuple[list[str], np.ndarray]:
+    """``_read_table``'s fast path: a ``ValueError`` or ``csv.Error`` if any rule fails.
+
+    The header is csv's first record.  The data rows go to ``np.loadtxt``
+    as one structured row type, the id as a string and the cells as
+    floats, so its parser checks each row's field count and every number.
+    A line of line breaks alone is blank, for csv and numpy alike; one
+    data line is looked for first, since ``loadtxt`` warns on no data.
+    """
+    lines = io.StringIO(data.decode("utf-8-sig"), newline="")
+    header = next(csv.reader(lines), None)
+    start = lines.tell()
+    first = next((line for line in lines if line.strip("\r\n")), None)
+    keyed = columns is None
+    if (header is None or first is None or len(set(header)) < len(header)
+            or (header[:1] != ["instance_id"] if keyed else header != columns)):
+        raise ValueError("no header, a header that breaks a rule, or no data rows")
+    row = [("id", object)] * keyed + [("cells", float, (len(header) - keyed,))]
+    table = np.loadtxt(itertools.chain([first], lines), dtype=row, ndmin=1, **_CSV)
+    ids = table["id"].tolist() if keyed else []
+    cells = np.ascontiguousarray(table["cells"])
+    ok = np.isfinite(cells) & (cells >= 0) if nonnegative else np.isfinite(cells)
+    if not ok.all() or len(set(ids)) < len(ids) or not _cells_fit(data, ids, lines, start):
+        raise ValueError("a cell or an id breaks a rule")
+    return ids, cells
+
+
+def _cells_fit(data: bytes, ids: list[str], lines: io.StringIO, start: int) -> bool:
+    """Whether no data cell is over ``_FIELD_LIMIT`` characters.
+
+    ``data`` is the file, ``ids`` its ids, and ``lines`` holds its data
+    rows from ``start`` on.  The ids are measured.  A number holds no
+    comma, so a number cell over the limit spans at least
+    ``_FIELD_LIMIT + 1`` comma-free bytes, and with them a whole
+    comma-free block of half the limit, aligned to the block size; only
+    a file with such a block has every cell measured, through a second
+    parse.
+    """
+    if max(map(len, ids), default=0) > _FIELD_LIMIT:
+        return False
+    half = _FIELD_LIMIT // 2
+    if all(data.find(b",", at, at + half) >= 0 for at in range(0, len(data) - half + 1, half)):
+        return True
+    lines.seek(start)
+    cells = np.loadtxt(lines, dtype=object, ndmin=2, **_CSV)
+    return max(map(len, cells.flat)) <= _FIELD_LIMIT
+
+
+def _csv_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header (names distinct) and nonblank rows (at least one) of a CSV, each row with its line.
+
+    The line-by-line scan behind every load error.
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -457,42 +542,59 @@ def _read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]
     return header, rows
 
 
-def _read_keyed(path: str | Path, nonnegative: bool = False) -> tuple[list[str], np.ndarray]:
-    """The ids and the float cells of a CSV whose first column is ``instance_id``.
+def _numbers(rows: list[list[str]]) -> np.ndarray:
+    """Cell texts read by ``_parse``'s number parser; a ``ValueError`` if one is not a number."""
+    if not rows[0]:
+        return np.zeros((len(rows), 0))
+    text = "\n".join(",".join('"' + cell.replace('"', '""') + '"' for cell in row) for row in rows)
+    return np.loadtxt(io.StringIO(text, newline=""), dtype=float, ndmin=2, **_CSV)
 
-    Files are aligned by id, so an id on two lines is an error naming both.
+
+def _reads(cells: list[str]) -> bool:
+    """Whether ``_parse``'s number parser reads every one of ``cells``."""
+    try:
+        _numbers([cells])
+    except ValueError:
+        return False
+    return True
+
+
+def _explain(
+    path: str | Path, columns: list[str] | None, nonnegative: bool, cause: Exception
+) -> NoReturn:
+    """Raise the first broken rule of a table ``_parse`` rejected, naming file and line.
+
+    Each rule is checked over the whole file before the next: UTF-8 text,
+    the cell limit, data rows, distinct column names, the header, distinct
+    ids, field counts, numbers, then finite (and nonnegative) values.
     """
-    header, rows = _read_csv(path)
-    if header[:1] != ["instance_id"]:
+    header, rows = _csv_rows(path)
+    keyed = columns is None
+    if keyed and header[:1] != ["instance_id"]:
         raise ValueError(f"{path}: first column must be instance_id")
-    lines: dict[str, int] = {}
-    for line, row in rows:
-        if lines.setdefault(row[0], line) != line:
-            raise ValueError(f"{path}: instance_id {row[0]!r} repeated "
-                             f"on lines {lines[row[0]]} and {line}")
-    return list(lines), _float_matrix(path, header, rows, skip=1, nonnegative=nonnegative)
-
-
-def _float_matrix(
-    path: str | Path, header: list[str], rows: list[tuple[int, list[str]]], skip: int = 0,
-    nonnegative: bool = False,
-) -> np.ndarray:
-    """Each row's cells after the first ``skip`` as finite (and, if asked, nonnegative)
-    floats; errors name file and line."""
+    if not keyed and header != columns:
+        raise ValueError(f"{path}: expected header {','.join(columns)}")
+    if keyed:
+        lines: dict[str, int] = {}
+        for line, row in rows:
+            if lines.setdefault(row[0], line) != line:
+                raise ValueError(f"{path}: instance_id {row[0]!r} repeated "
+                                 f"on lines {lines[row[0]]} and {line}")
     for line, row in rows:
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: line {line}: expected {len(header)} fields, found {len(row)}"
             )
+    skip = int(keyed)
     try:
-        matrix = np.array([row[skip:] for _, row in rows], dtype=float)
-    except ValueError:
-        for line, row in rows:  # find the first row that does not parse
-            try:
-                np.array(row[skip:], dtype=float)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line}: {exc}") from None
-        raise
+        matrix = _numbers([row[skip:] for _, row in rows])
+    except ValueError:  # the first cell that is not a number, by row and then by cell
+        line, row = next((line, row) for line, row in rows if not _reads(row[skip:]))
+        name, cell = next((name, cell) for name, cell in zip(header[skip:], row[skip:])
+                          if not _reads([cell]))
+        raise ValueError(
+            f"{path}: line {line}: {name} value {cell!r} is not a decimal number"
+        ) from None
     ok = np.isfinite(matrix) & (matrix >= 0) if nonnegative else np.isfinite(matrix)
     if not ok.all():
         r, c = np.argwhere(~ok)[0]  # the first bad cell, in file order
@@ -501,7 +603,7 @@ def _float_matrix(
         raise ValueError(
             f"{path}: line {line}: {header[skip + c]} value {row[skip + c]!r} must be {rule}"
         )
-    return matrix
+    raise ValueError(f"{path}: {cause}") from cause
 
 
 def load_runtime_table(
@@ -512,16 +614,20 @@ def load_runtime_table(
     """Load a runtime table from CSV files.
 
     ``runtimes_path``: header ``instance_id,solver_0,...,solver_{m-1}``, one
-    row per instance, each id on one row only.  ``instance_features_path``:
-    header ``instance_id,f0,...,f{p-1}``, with the same ids in the same order.
-    ``solver_features_path``: columns ``alpha,rho,ps,wp``; defaults to the
-    bundled solver parametrization fixture.  The readers check every cell and
-    this function the ids and the solver count, so the table skips its checks.
+    row per instance, each id on one row only, runtimes finite and
+    nonnegative.  ``instance_features_path``: header
+    ``instance_id,f0,...,f{p-1}``, finite cells, with the same ids in the
+    same order; a mismatch names both files and the first data lines whose
+    ids differ, or both row counts.  ``solver_features_path``: columns
+    ``alpha,rho,ps,wp``; defaults to the bundled solver parametrization
+    fixture.  Each file is parsed in one numpy pass (see ``_read_table``
+    for the cell rules).  The reader checks every cell and this function
+    the ids and the solver count, so the table skips its checks.
     """
-    ids, runtimes = _read_keyed(runtimes_path, nonnegative=True)
-    feat_ids, feats = _read_keyed(instance_features_path)
+    ids, runtimes = _read_table(runtimes_path, nonnegative=True)
+    feat_ids, feats = _read_table(instance_features_path)
     if feat_ids != ids:
-        raise ValueError("instance_id mismatch between runtime and instance-feature files")
+        raise ValueError(_id_mismatch(runtimes_path, ids, instance_features_path, feat_ids))
     if solver_features_path is None:
         solver = bundled_solver_features()
     else:
@@ -534,16 +640,32 @@ def load_runtime_table(
                       solver_features=solver)
 
 
+def _id_mismatch(path: str | Path, ids: list[str], other: str | Path, other_ids: list[str]) -> str:
+    """Where two keyed files' ids first differ: both data lines, else both row counts."""
+    r = next((r for r, pair in enumerate(zip(ids, other_ids)) if pair[0] != pair[1]), None)
+    if r is None:
+        return (f"instance_id mismatch: {path} has {len(ids)} data rows, "
+                f"but {other} has {len(other_ids)}")
+    line, other_line = (_csv_rows(p)[1][r][0] for p in (path, other))
+    return (f"instance_id mismatch: {path} line {line} has {ids[r]!r}, "
+            f"but {other} line {other_line} has {other_ids[r]!r}")
+
+
 def load_solver_features(path: str | Path) -> np.ndarray:
-    """Load solver feature rows from a CSV with columns alpha,rho,ps,wp."""
-    header, rows = _read_csv(path)
-    if header != ["alpha", "rho", "ps", "wp"]:
-        raise ValueError(f"{path}: expected header alpha,rho,ps,wp")
-    return _float_matrix(path, header, rows)
+    """Load solver feature rows from a CSV with columns alpha,rho,ps,wp (finite cells)."""
+    return _read_table(path, columns=["alpha", "rho", "ps", "wp"])[1]
 
 
-def bundled_solver_features() -> np.ndarray:
-    """The 20 bundled solver parametrizations (alpha, rho, ps, wp rows)."""
+@cache
+def _bundled_solver_features() -> np.ndarray:
     ref = resources.files("preselect").joinpath("data/saps_parametrizations.csv")
     with resources.as_file(ref) as path:
         return load_solver_features(path)
+
+
+def bundled_solver_features() -> np.ndarray:
+    """The 20 bundled solver parametrizations (alpha, rho, ps, wp rows).
+
+    The package file is parsed once per process; each call returns its own copy.
+    """
+    return _bundled_solver_features().copy()

@@ -383,6 +383,30 @@ class TestCsvLoading:
         with pytest.raises(ValueError):
             load_runtime_table(rt, fi, sf)
 
+    @pytest.mark.parametrize("feat_ids, reason", [
+        (("a", "c", "b"), "{rt} line 3 has 'b', but {fi} line 3 has 'c'"),
+        (("a", "b"), "{rt} has 3 data rows, but {fi} has 2"),
+    ], ids=["swapped", "short"])
+    def test_id_mismatch_names_both_files(self, tmp_path, capsys, feat_ids, reason):
+        rt, fi, sf = self._write_files(tmp_path, feat_ids=feat_ids)
+        expected = "instance_id mismatch: " + reason.format(rt=rt, fi=fi)
+        with pytest.raises(ValueError, match=re.escape(expected) + "$"):
+            load_runtime_table(rt, fi, sf)
+        code = cli_main(["algoselect", "--k", "1", "--T", "2", "--runtimes", str(rt),
+                         "--instance-features", str(fi), "--solver-features", str(sf),
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert f"configuration error: {expected}" in capsys.readouterr().err
+
+    def test_id_mismatch_names_data_lines_not_row_numbers(self, tmp_path):
+        rt, fi, sf = self._write_files(tmp_path)
+        fi.write_text('instance_id,f0,f1,f2\n\n"a",0.1,0.5,0.0\n\n"c\nd",0.1,0.5,0.1\n'
+                      "b,0.1,0.5,0.2\n")
+        with pytest.raises(ValueError, match=re.escape(
+            f"instance_id mismatch: {rt} line 3 has 'b', but {fi} line 6 has 'c\\nd'"
+        )):
+            load_runtime_table(rt, fi, sf)
+
     @pytest.mark.parametrize("which", [0, 1], ids=["runtimes", "features"])
     def test_repeated_id_names_file_id_and_both_lines(self, tmp_path, which):
         rt, fi, sf = self._write_files(tmp_path)

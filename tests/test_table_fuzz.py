@@ -61,6 +61,9 @@ def mutate(tables, kind, name, row, column, cell):
         rows[r].append("0.1")
     elif kind == "repeat id":
         rows[r][0] = rows[1 + (r % len(data))][0]
+    elif kind == "id order":
+        other = 1 + (r % len(data))  # the next data row, wrapping round
+        rows[r][0], rows[other][0] = rows[other][0], rows[r][0]
     elif kind == "repeat column name":
         rows[0][c] = rows[0][first + (c + 1 - first) % (len(rows[0]) - first)]
     elif kind == "rename column":
@@ -114,7 +117,7 @@ def run(paths, out, T, policy):
     return code, stderr.getvalue(), rounds
 
 
-MUTATIONS = ["cell", "drop cell", "extra cell", "repeat id", "repeat column name",
+MUTATIONS = ["cell", "drop cell", "extra cell", "repeat id", "id order", "repeat column name",
              "rename column", "single row", "constant", "blank rows", "header only",
              "encoding"]
 
@@ -132,7 +135,7 @@ MUTATIONS = ["cell", "drop cell", "extra cell", "repeat id", "repeat column name
 )
 def test_a_mutated_table_exits_cleanly(kind, name, row, column, cell, encoding, T, policy):
     tables = base_tables()
-    if kind == "repeat id" and not keyed(name):
+    if kind in ("repeat id", "id order") and not keyed(name):
         kind = "cell"
     if kind != "encoding":
         mutate(tables, kind, name, row, column, cell)
