@@ -17,7 +17,7 @@ highly correlated columns.
 
 The table's CSV files are each parsed in one numpy pass, ids and numbers
 alike; a file that breaks a rule is then scanned line by line, only to
-name the file, line and column at fault.
+name the file, line and column (or a non-UTF-8 byte's offset) at fault.
 
 Regret for a chosen subset is the relative utility gap between the
 overall best arm and the best arm inside the subset; it vanishes
@@ -521,17 +521,21 @@ def _csv_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]
 
     The line-by-line scan behind every load error.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-            rows = [(reader.line_num, row) for row in reader if row]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8-sig")  # the whole file at once, so a bad byte's offset is the file's
+    except UnicodeDecodeError as exc:
+        at = exc.start + len(data) - len(exc.object)  # exc.object starts after a byte-order mark
+        raise ValueError(f"{path}: not UTF-8 text: byte 0x{data[at]:02x} at offset {at} "
+                         f"(line {len(data[:at + 1].splitlines())}): {exc.reason}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+        rows = [(reader.line_num, row) for row in reader if row]
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
     columns: dict[str, int] = {}

@@ -20,24 +20,25 @@ Policies:
   it scores by estimated utility alone.
 * ``EpsilonGreedyPolicy`` plays Max-Theta's choice, but with probability
   epsilon picks a uniformly random k-subset.
-* ``MMPolicy`` is context-free: it keeps per-arm stage wins, the
-  multiplicity of each remaining-set seen and who has beaten whom,
-  refits plain PL weights to them with a minorization-maximization
-  iteration, and greedily plays the top-k arms by weight.  Arms beaten
-  by arms they never beat back sit at a floor weight in closed form;
-  only the rest are swept.  Those floor arms are played after all the
-  rest, and the fewer arms that beat one, the earlier it is played.
+* ``MMPolicy`` is context-free: it keeps per-arm stage wins and the
+  multiplicity of each remaining-set seen, refits PL weights to them as
+  the maximum a posteriori under a weak Gamma prior on each weight
+  (``mm_fit``), and greedily plays the top-k arms by weight.  The prior
+  gives the fit one maximum for any history, with an arm never played
+  at 1/n and an arm never winning at a small weight set by its losses.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+# np.linalg.solve's gufunc, without the checks and error-state switch that nearly
+# double the cost of MM's 20 x 20 Newton solve; that matrix is positive definite.
+from numpy.linalg._umath_linalg import solve1 as _solve
 
 from .estimator import EstimatorState, _attach_inverse, confidence_widths, sgd_update
 from .likelihood import Feedback, Observation, WinnerFeedback, _check_feedback
@@ -98,7 +99,8 @@ def cppl_choose(
 # Context-free MM baseline
 # ---------------------------------------------------------------------------
 
-_WEIGHT_FLOOR = 1e-12  # the weight of every dominated arm
+_EPSILON = 1e-3  # the prior's strength: Gamma(1 + _EPSILON, n * _EPSILON) on each weight
+_MAX_STEP = 2.0  # the largest Newton step in any log-weight
 
 
 @dataclass(frozen=True)
@@ -108,25 +110,12 @@ class MMState:
     An observation is a sequence of choice stages (remaining arms, stage
     winner): a winner observation is one stage over the chosen subset, a
     ranking of m arms is m - 1 stages over the shrinking remainder.  The
-    MM update needs ``wins`` (stages won by each arm), ``set_counts``
-    (stages per distinct remaining-set, keyed by its sorted tuple) and
-    ``reach``, the reflexive transitive closure of the comparison graph,
-    in which i -> j when i won a stage in which j remained:
-    ``reach[i, j]`` says that some chain of such wins leads from i to j.
-    ``observations`` counts recorded rounds.  ``weights`` are normalized
-    to sum 1.
+    fit needs ``wins`` (stages won by each arm) and ``set_counts``
+    (stages per distinct remaining-set, keyed by its sorted tuple).
+    ``observations`` counts recorded rounds.  ``weights`` are the last
+    fit's (see ``mm_fit``), uniform before the first.
 
-    ``mm_fit`` splits the arms by ``reach``.  An arm is *dominated* when
-    some arm reaches it that it does not reach back; the likelihood
-    rises as its weight falls, with no maximum (Hunter 2004, Assumption
-    1), so it sits at ``_WEIGHT_FLOOR``.  The arms in no key of
-    ``set_counts`` are *unseen* and sit at the uniform prior 1/n.  The
-    other arms are *free*, and the fit moves only them.
-
-    ``reach`` defaults to the identity, the closure of no stages, so it
-    must be given with a nonempty ``set_counts``.
-
-    ``_restriction`` is ``mm_fit``'s cache (see ``_Restriction``), not a
+    ``_incidence`` is ``mm_fit``'s cache (see ``_Incidence``), not a
     statistic: no constructor takes it, and equality ignores it.
     """
 
@@ -134,8 +123,7 @@ class MMState:
     wins: np.ndarray | None = None
     set_counts: dict[tuple[int, ...], int] = field(default_factory=dict)
     observations: int = 0
-    reach: np.ndarray | None = None
-    _restriction: _Restriction | None = field(default=None, init=False, repr=False, compare=False)
+    _incidence: _Incidence | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -147,17 +135,8 @@ class MMState:
         wins = np.asarray(wins)
         if wins.shape != w.shape:
             raise ValueError("wins must have one entry per arm")
-        if self.reach is None:
-            if self.set_counts:
-                raise ValueError("reach must be given with set_counts")
-            reach = np.eye(w.size, dtype=bool)
-        else:
-            reach = np.asarray(self.reach, dtype=bool)
-            if reach.shape != (w.size, w.size) or not reach.diagonal().all():
-                raise ValueError("reach must be a reflexive n x n relation")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "wins", wins)
-        object.__setattr__(self, "reach", reach)
 
     @classmethod
     def uniform(cls, n: int) -> "MMState":
@@ -181,144 +160,110 @@ class MMState:
             wins[winner] += 1
             key = tuple(sorted(remaining))
             set_counts[key] = set_counts.get(key, 0) + 1
-        # Stage i's edges run from its winner to every arm remaining:
-        # whatever reaches the winner now reaches whatever those arms
-        # reach.  Taken last stage first, each stage's remaining arms are
-        # the next one's plus its winner, so one running union covers them all.
-        reach = self.reach
-        if stages:
-            target = reach[list(stages[-1][0])].any(axis=0)
-        for _, winner in reversed(stages):
-            target |= reach[winner]
-            if (target > reach[winner]).any():
-                if reach is self.reach:
-                    reach = reach.copy()
-                reach |= np.outer(reach[:, winner], target)
-        return _unchecked(MMState, self.__dict__, wins=wins, set_counts=set_counts, reach=reach,
+        return _unchecked(MMState, self.__dict__, wins=wins, set_counts=set_counts,
                           observations=self.observations + 1)
 
 
-class _Restriction(NamedTuple):
-    """The refit's view of a state: its free arms and the sets that hold one.
+class _Incidence(NamedTuple):
+    """The keys of ``set_counts`` as 0/1 rows, in insertion order: ``mm_fit``'s cache."""
 
-    Built for one ``reach`` array and the first ``len(incidence)`` keys of
-    ``set_counts``; ``_restrict`` reuses it while neither changes.  A state
-    carries the one it was last fitted on in its ``_restriction`` field,
-    and ``record`` passes it on.
-    """
-
-    reach: np.ndarray
-    incidence: np.ndarray  # 0/1, one row per key of set_counts, one column per arm
-    free: np.ndarray  # indices of the free arms
-    rows: np.ndarray  # indices of the keys that hold a free arm
-    A: np.ndarray  # incidence[rows][:, free]
-    fixed: np.ndarray  # weights of the other arms: floor or 1/n; 0 at the free arms
-    mass: float  # 1 - fixed.sum(), the free arms' total weight
-    dominators: np.ndarray  # per arm, the arms that reach it and that it does not reach back
+    full: np.ndarray  # one column per arm
+    seen: np.ndarray  # indices of the arms in some key
+    A: np.ndarray  # full[:, seen]
 
 
-def _restrict(state: MMState) -> _Restriction:
-    """The free arms, their sets and dominator counts, rebuilt when ``reach`` or the sets change."""
-    old = state._restriction
-    sets = state.set_counts
-    incidence = None if old is None else old.incidence
-    if incidence is None or len(incidence) < len(sets):
-        # Dict order is insertion order, so new keys are new last rows.
-        keys = list(sets)[0 if incidence is None else len(incidence):]
-        block = np.zeros((len(keys), state.n))
-        block[
-            np.repeat(np.arange(len(keys)), [len(s) for s in keys]),
-            np.fromiter(chain.from_iterable(keys), dtype=np.intp),
-        ] = 1.0
-        incidence = block if incidence is None else np.vstack((incidence, block))
-    elif old.reach is state.reach:
+def _incidence_of(state: MMState) -> _Incidence:
+    """The incidence ``state`` carries from its last fit, with a row for each newer key."""
+    old = state._incidence
+    done = 0 if old is None else len(old.full)
+    if old is not None and done == len(state.set_counts):
         return old
-    reach = state.reach
-    seen = incidence.any(axis=0)
-    dominators = (reach & ~reach.T).sum(axis=0)
-    free = np.flatnonzero(seen & (dominators == 0))
-    restricted = incidence[:, free]
-    rows = np.flatnonzero(restricted.any(axis=1))
-    fixed = np.where(dominators > 0, _WEIGHT_FLOOR, np.where(seen, 0.0, 1.0 / state.n))
-    return _Restriction(reach, incidence, free, rows, restricted[rows], fixed,
-                        1.0 - fixed.sum(), dominators)
+    # Dict order is insertion order, so new keys are new last rows.
+    keys = list(state.set_counts)[done:]
+    block = np.zeros((len(keys), state.n))
+    block[
+        np.repeat(np.arange(len(keys)), [len(s) for s in keys]),
+        np.fromiter(chain.from_iterable(keys), dtype=np.intp),
+    ] = 1.0
+    full = block if old is None else np.vstack((old.full, block))
+    seen = np.flatnonzero(full.any(axis=0))
+    return _Incidence(full, seen, full[:, seen])
 
 
 def mm_fit(state: MMState, max_iters: int = 100, tol: float = 1e-8) -> MMState:
-    """Fit context-free PL weights to the recorded stages (Hunter's MM iteration).
+    """Fit context-free PL weights to the recorded stages: the MAP under a weak Gamma prior.
 
-    Dominated arms go to ``_WEIGHT_FLOOR`` and unseen arms to 1/n in
-    closed form (see ``MMState``); only the free arms are swept, on the
-    remaining-sets that hold a free arm, with the dominated arms left
-    out of every stage total.  A sweep sets each free ``w_i`` to the
-    number of stages won by arm i divided by the sum, over those stages
-    containing i, of the inverse stage total, then scales the free
-    weights to sum ``1 - (floors + priors)``.  With the sets as the rows
-    of a 0/1 incidence matrix ``A`` and their multiplicities ``m``, that
-    denominator is ``(m / (A @ w)) @ A``.
+    Each weight has an independent Gamma(1 + eps, n eps) prior, eps =
+    ``_EPSILON`` (Caron & Doucet 2012).  With ``W_S`` the total weight of
+    remaining-set S and ``m_S`` its count, the log-posterior
 
-    The sweeps are accelerated by SQUAREM (Varadhan & Roland 2008, step
-    S3).  From w, two sweeps give w1 and w2; with r = w1 - w,
-    v = w2 - w1 - r and ``a = -|r| / |v|`` below -1, the next cycle starts
-    from ``w - 2 a r + a^2 v`` if that point is positive and its
-    log-likelihood on the swept stages is no lower than w's, and from w2
-    otherwise.  The iteration warm-starts from ``state.weights`` and
-    returns the output of the first sweep that moves no weight by more
-    than ``tol`` of its value, or of sweep ``max_iters``.  The stop is
-    relative because an arm that leaves the floor restarts at 1e-12,
-    where no step reaches an absolute 1e-8.
+        sum_i a_i log w_i - sum_S m_S log W_S - n eps sum_i w_i,   a_i = wins_i + eps,
+
+    is strictly concave in the log-weights, so it has one maximum for any
+    history, where every arm meets
+
+        a_i = w_i D_i,   D_i = n eps + sum over the sets S holding i of m_S / W_S.
+
+    Summed over the arms these give ``sum w = 1``.  An arm in no set sits
+    at 1/n, where its equation holds; the other arms are fitted,
+    warm-started from ``state.weights``.  The fit returns the first point
+    whose residual ``max |a / (w D) - 1|`` is below ``tol``, or the point
+    after step ``max_iters``.
+
+    A step is Newton's in the log-weights: it solves
+    ``(diag(w D) - P^T diag(m) P) delta = a - w D``, with ``P_Si = w_i / W_S``
+    for i in S, shrinks ``delta`` so that no entry exceeds ``_MAX_STEP``
+    in size, and moves to ``w exp(delta)`` if that point lowers the
+    residual or raises the log-posterior.  Otherwise it takes the MM step
+    ``w = a / D``, which always ascends (Hunter 2004).  The second test
+    matters where the weights span many orders of magnitude: there a
+    Newton point can ascend, and the next one converge, though the
+    residual first grows.
     """
     if not state.observations:
         raise ValueError("cannot fit with an empty history")
-    r = _restrict(state)
-    weights = r.fixed.copy()
-    if r.free.size:
-        m = np.fromiter(state.set_counts.values(), dtype=float, count=len(r.incidence))
-        w = state.weights[r.free]
-        weights[r.free] = _squarem(
-            w * (r.mass / w.sum()), state.wins[r.free].astype(float), r.A, m[r.rows],
-            r.mass, max_iters, tol,
-        )
-    return _unchecked(MMState, state.__dict__, weights=weights, _restriction=r)
+    inc = _incidence_of(state)
+    weights = np.full(state.n, 1.0 / state.n)
+    if inc.seen.size:
+        m = np.fromiter(state.set_counts.values(), dtype=float, count=len(inc.A))
+        weights[inc.seen] = _newton(state.weights[inc.seen], state.wins[inc.seen] + _EPSILON,
+                                    inc.A, m, state.n * _EPSILON, max_iters, tol)
+    return _unchecked(MMState, state.__dict__, weights=weights, _incidence=inc)
 
 
-def _squarem(w, wins, A, m, mass, max_iters, tol):
-    """SQUAREM-accelerated MM sweeps of the free weights (see ``mm_fit``)."""
+def _stationarity(w, a, A, m, prior):
+    """Set totals ``W``, ``q = m / W``, ``w D``, ``w D - a`` and the residual at ``w``."""
+    W = A.dot(w)
+    q = m / W
+    wD = (q.dot(A) + prior) * w
+    g = wD - a
+    return W, q, wD, g, np.maximum.reduce(np.abs(g / wD))
 
-    # At a few dozen sets per-call overhead dominates each sweep, hence
-    # ndarray.dot and a bare ufunc reduce instead of ``@`` and ``np.max``.
-    def sweep(w):
-        w_new = wins / (m / A.dot(w)).dot(A)
-        return w_new * (mass / np.add.reduce(w_new))
 
-    def loglik(w):
-        return wins.dot(np.log(w)) - m.dot(np.log(A.dot(w)))
+def _newton(w, a, A, m, prior, max_iters, tol):
+    """Newton steps on the log-weights, with an MM step as the fallback (see ``mm_fit``)."""
 
-    sweeps, ll = 0, None  # ll: log-likelihood of w, once computed
-    while True:
-        w1 = sweep(w)
-        r = w1 - w
-        sweeps += 1
-        if sweeps == max_iters or np.maximum.reduce(np.abs(r) / w) < tol:
-            return w1
-        w2 = sweep(w1)
-        d = w2 - w1
-        sweeps += 1
-        if sweeps == max_iters or np.maximum.reduce(np.abs(d) / w1) < tol:
-            return w2
-        v = d - r
-        rr, vv = r.dot(r), v.dot(v)
-        if 0.0 < vv < rr:
-            a = -math.sqrt(rr / vv)
-            x = w - (2.0 * a) * r + (a * a) * v
-            if np.minimum.reduce(x) > 0.0:
-                lx = loglik(x)
-                if ll is None:
-                    ll = loglik(w)
-                if lx >= ll:
-                    w, ll = x, lx
-                    continue
-        w, ll = w2, None
+    def log_posterior(x, W):
+        return a.dot(np.log(x)) - m.dot(np.log(W)) - prior * x.sum()
+
+    W, q, wD, g, residual = _stationarity(w, a, A, m, prior)
+    for _ in range(max_iters):
+        if residual < tol:
+            break
+        V = A * w
+        H = (V.T * (q / W)).dot(V)
+        H.ravel()[:: w.size + 1] -= wD  # H is minus mm_fit's matrix, g minus its right side
+        step = _solve(H, g)
+        longest = np.maximum.reduce(np.abs(step))
+        if longest > _MAX_STEP:
+            step *= _MAX_STEP / longest
+        x = w * np.exp(step)
+        point = _stationarity(x, a, A, m, prior)
+        if not (point[4] < residual or log_posterior(x, point[0]) > log_posterior(w, W)):
+            x = a * w / wD
+            point = _stationarity(x, a, A, m, prior)
+        w, (W, q, wD, g, residual) = x, point
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -391,25 +336,20 @@ class EpsilonGreedyPolicy(CPPLPolicy):
 
 
 class MMPolicy(Policy):
-    """Context-free baseline: refit MM weights each round, play top-k greedily.
+    """Context-free baseline: refit the weights each round, play the top-k by weight.
 
     A round is ``mm_fit(state.record(subset, feedback))``: ``record``
     checks the subset and feedback and adds their stages, and ``mm_fit``
     refits with its defaults, warm-started from the previous weights.
-    The context is not read.  A sweep passes once over the
-    distinct remaining-sets that hold a free arm (see ``MMState``),
-    however many rounds came before.
+    The context is not read.  A step of the fit passes once over the
+    distinct remaining-sets, however many rounds came before.
     """
 
     def __init__(self, n: int):
         self.state = MMState.uniform(n)
 
     def _choose(self, context: ContextMatrix, k: int) -> PolicyDecision:
-        """Top-k by fewest dominators (see ``MMState``), then weight, then index."""
-        # Sort, not subtract: a free arm's fit can sit below the floor, a hand-built weight above 1.
-        _check_k(k, self.state.n)
-        order = np.lexsort((-self.state.weights, _restrict(self.state).dominators))
-        return PolicyDecision(tuple(sorted(order[:k].tolist())))
+        return PolicyDecision(top_k_subset(self.state.weights, k))
 
     def _update(self, feedback, subset, context) -> None:
         self.state = mm_fit(self.state.record(subset, feedback))

@@ -10,12 +10,13 @@ The hashes hold for Python 3.11 with numpy 2.4 on OpenBLAS 0.3.31
 (scipy-openblas, x86_64 Haswell kernels).  Another numpy or BLAS may
 round differently and fail these tests without any fault in the code.
 A change that is allowed to move numbers re-pins them and says so in
-CHANGES.md.  The mm hashes pin the MM refit's rule: arms beaten by arms
-they never beat back sit at the weight floor in closed form, unseen
-arms at 1/n, and only the rest are swept, with SQUAREM steps; the fit
-stops at the first sweep that moves no weight by more than 1e-8 of its
-value (ROADMAP item 7).
-They also pin MM's choice: fewest dominators first, then weight.
+CHANGES.md.  The mm hashes pin the MM refit's rule: the maximum a
+posteriori weights under an independent Gamma(1 + 1e-3, n 1e-3) prior
+per arm, with arms never played at 1/n, fitted by Newton steps in the
+log-weights (an MM step when a Newton point neither lowers the residual
+nor raises the log-posterior) until every arm's stationarity residual
+is below 1e-8.
+They also pin MM's choice: the top-k by weight, ties to the lower index.
 
 Three more configs pin the carried-inverse (Woodbury) path of
 ``estimator``, which every cppl run takes once its warm-up ends: cppl
@@ -32,7 +33,7 @@ from preselect import ExperimentConfig, emit_results, run_experiment
 GOLDEN = {
     ("cppl", "winner"): "b82397c428349debb569c33a62145e29b6523ff882128f31d5e6d5380f178c46",
     ("egreedy", "winner"): "92593b65363ada3a7cd7cf26ce2d9790d6ac4a87930b4b92cef3c7504a4ce895",
-    ("mm", "winner"): "74770e06ff660e2de1269691ccf3ae097b7c9ce49c0c7d14b46ba1bfc303fc2f",
+    ("mm", "winner"): "08a9220ba9281e8b92e3d2bf79de8430fd699c0cbca9a412be9f6aaff33821e4",
     ("cppl", "ranking"): "22ed1f8cdbd3be1e5a3e955f4e83dabab84b760df13451329247bd6d61a74bc5",
     ("mm", "ranking"): "409a1978f2c4c80f9c1be6e8962d908ec4847907a3b92f43188f36c54c3e0da3",
     ("egreedy", "ranking"): "d2b584bef88b917b2026a39a941f27a716a8e45ed4429b53cbf5a3f3e6e8c87b",

@@ -12,6 +12,7 @@ column.
 
 import contextlib
 import csv
+import io
 import re
 import sys
 import tempfile
@@ -37,17 +38,25 @@ LIMIT = 131_072
 
 
 def reference_rows(path):
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-            rows = [(reader.line_num, row) for row in reader if row]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+    # The whole file is decoded at once, so a bad byte is named by its
+    # offset in the file and its line, not by its place in one read.
+    data = Path(path).read_bytes()
+    body = data[3:] if data.startswith(b"\xef\xbb\xbf") else data
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start + len(data) - len(body)
+        line = len(re.findall(rb"\r\n|\r|\n", data[:at])) + 1
+        raise ValueError(f"{path}: not UTF-8 text: byte 0x{data[at]:02x} at offset {at} "
+                         f"(line {line}): {exc.reason}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+        rows = [(reader.line_num, row) for row in reader if row]
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
     columns = {}
@@ -321,6 +330,26 @@ def test_a_valid_load_sends_no_data_row_through_csv(tmp_path, monkeypatch):
     table = load_runtime_table(runtimes, features)
     assert table.num_instances == 1200
     assert readers and max(reader.rows for reader in readers) == 1  # a header, no data row
+
+
+def test_a_byte_that_is_not_utf8_is_named_by_file_offset_and_line(tmp_path, capsys):
+    # 2,001 valid rows, then 0xe9 at byte 32,028: past the first 8 KB read
+    # of a text-mode file, whose decoder counts from the start of its read.
+    head = "instance_id,solver_0\n" + "".join(f"i{i},{i / 7:.5f}\n" for i in range(2000))
+    head += "i2000," + "1." + "0" * (32_028 - len(head) - len("i2000,1.\n") - 1) + "\nx"
+    assert len(head) == 32_028
+    rt = tmp_path / "runtimes.csv"
+    rt.write_bytes(head.encode() + b"\xe9,1\n")
+    fi = tmp_path / "features.csv"
+    fi.write_text("instance_id,f0\na,0.1\n")
+    expected = (f"{rt}: not UTF-8 text: byte 0xe9 at offset 32028 (line 2003): "
+                "invalid continuation byte")
+    for read in (reference_keyed, lambda path: load_runtime_table(path, fi)):
+        with pytest.raises(ValueError, match=re.escape(expected) + "$"):
+            read(rt)
+    assert cli_main(["algoselect", "--k", "1", "--T", "2", "--runtimes", str(rt),
+                     "--instance-features", str(fi), "--out", str(tmp_path / "out.csv")]) == 1
+    assert f"configuration error: {expected}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cell", ["1_0", "٣"])
