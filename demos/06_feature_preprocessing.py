@@ -4,7 +4,10 @@ Three fitted stages: min-max scaling to [0, 1], a variance filter
 (threshold 0.01), and greedy pruning of column pairs whose absolute
 Pearson correlation exceeds 0.95.  Of the most correlated pair, the
 column that is on average more correlated with everything else is the
-one removed.
+one removed; on a tie, the later column.  Columns identical after
+scaling, like c1 and c2 below, tie exactly, so they fold to the first
+(c1) before the pruning; mirror-image columns (r = -1) are not folded,
+and round-off decides between them.
 """
 
 import numpy as np
@@ -47,7 +50,8 @@ survivors = [j for j in range(raw.shape[1]) if np.var(scaled[:, j]) >= 0.01]
 corr = np.corrcoef(scaled[:, survivors], rowvar=False)
 print("\n|correlation| among variance survivors:")
 print(np.round(np.abs(corr), 3))
-print("the (c1, c2) pair is exactly 1; (c1, c3) is above 0.95 as well")
+print("the (c1, c2) pair is exactly 1: c2 is identical to c1, so it folds to c1")
+print("(c1, c3) is above 0.95 as well, and the pruning removes c3")
 
 reduced, kept = preprocess_features(raw)
 print("\nfinal surviving columns:", [f"[{j}] {names[j]}" for j in kept])

@@ -192,41 +192,44 @@ def preprocess_features(raw: np.ndarray) -> tuple[np.ndarray, list[int]]:
        remove the member with the larger mean absolute correlation to
        the other remaining columns (ties: the larger column index).
 
+    Columns that are identical after scaling, bit for bit, are folded to
+    the first of them before step 3.  That is step 3's own outcome: an
+    identical pair has |r| = 1, the largest value, and equal mean
+    correlations, so the rule removes every later copy first.  Computed,
+    the two means can differ in the last bits, and round-off would pick
+    the copy.  Mirror-image columns (r = -1, but not identical after
+    scaling) are not folded, so round-off still decides between them.
+    The correlation matrix is computed once; each removal deletes its
+    column's row and column.
+
     Returns the reduced matrix and the surviving original column
     indices, in order.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[0] < 2 or not np.isfinite(raw).all():
         raise ValueError("need a matrix with at least 2 rows, all entries finite")
-    lo, hi = raw.min(axis=0), raw.max(axis=0)
-    span = hi - lo
-    constant = span == 0
-    span = np.where(constant, 1.0, span)
-    scaled = (raw - lo) / span
-    scaled[:, constant] = 0.0
-
-    keep = [j for j in range(scaled.shape[1]) if np.var(scaled[:, j]) >= VARIANCE_THRESHOLD]
-
-    while len(keep) >= 2:
+    lo = raw.min(axis=0)
+    span = raw.max(axis=0) - lo
+    scaled = np.divide(raw - lo, span, out=np.zeros_like(raw), where=span > 0)
+    # One contiguous row per column: each variance sums in ``np.var``'s order
+    # for that column, and each column's bytes are one value for ``np.unique``.
+    columns = scaled.T.copy()
+    _, first = np.unique(columns.view(np.dtype((np.void, columns.itemsize * columns.shape[1]))),
+                         return_index=True)
+    first.sort()
+    keep = first[columns[first].var(axis=1) >= VARIANCE_THRESHOLD].tolist()
+    if len(keep) > 1:
         corr = np.abs(np.corrcoef(scaled[:, keep], rowvar=False))
         np.fill_diagonal(corr, 0.0)
-        a, b = np.unravel_index(np.argmax(corr), corr.shape)
-        if corr[a, b] <= CORRELATION_THRESHOLD:
-            break
-        # Victim: larger mean |correlation| to the other remaining columns;
-        # on a tie, the larger original column index.
-        m = len(keep)
-        mean_a = corr[a].sum() / (m - 1)
-        mean_b = corr[b].sum() / (m - 1)
-        if mean_a > mean_b:
-            victim = a
-        elif mean_b > mean_a:
-            victim = b
-        else:
-            victim = a if keep[a] > keep[b] else b
-        keep.pop(victim)
-
-    return scaled[:, keep], list(keep)
+        while True:  # a single column's matrix is [[0]], which ends the loop
+            a, b = np.unravel_index(np.argmax(corr), corr.shape)
+            if corr[a, b] <= CORRELATION_THRESHOLD:
+                break
+            mean_a, mean_b = corr[[a, b]].sum(axis=1) / (len(keep) - 1)
+            victim = max((mean_a, a), (mean_b, b))[1]  # on a tie, the larger index
+            keep.pop(victim)
+            corr = np.delete(np.delete(corr, victim, axis=0), victim, axis=1)
+    return scaled[:, keep], keep
 
 
 def sample_feedback(
@@ -315,7 +318,7 @@ def _seed_words_type() -> type:
     ``generate_state(4, np.uint64)``, the only call PCG64 makes.
 
     Defined at the first round, not at import: importing ``numpy.random``
-    ahead of the rest of the package raised peak RSS by about 0.6 MB.
+    ahead of the rest of the package raised peak RSS for every run.
     """
     from numpy.random.bit_generator import ISeedSequence
 

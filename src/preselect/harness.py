@@ -163,11 +163,15 @@ class AggregatedResult:
 
 
 def _streams(base_seed: int, rep_index: int):
-    """Independent policy / feedback / setup generators for one repetition."""
+    """Independent policy / feedback / setup generators for one repetition.
+
+    They are children 0, 1 and 2 of ``SeedSequence(base_seed + rep_index)``;
+    round t's context takes key ``(3, t)`` of the same seed (see
+    ``SyntheticEnvironment.round``).
+    """
     rep_seed = base_seed + rep_index
-    policy_rng = np.random.default_rng(np.random.SeedSequence(rep_seed, spawn_key=(0,)))
-    feedback_rng = np.random.default_rng(np.random.SeedSequence(rep_seed, spawn_key=(1,)))
-    setup_rng = np.random.default_rng(np.random.SeedSequence(rep_seed, spawn_key=(2,)))
+    policy_rng, feedback_rng, setup_rng = map(
+        np.random.default_rng, np.random.SeedSequence(rep_seed).spawn(3))
     return rep_seed, policy_rng, feedback_rng, setup_rng
 
 

@@ -141,7 +141,7 @@ def _stage_pass(theta: np.ndarray, obs: Observation):
 def _symmetrize(A: np.ndarray) -> np.ndarray:
     """``(A + A.T) / 2``, the same bits, from a contiguous copy of the transpose.
 
-    It skips the strided sum of ``A + A.T`` (11 against 16 us at d=80).
+    It skips the strided sum of ``A + A.T``, which is slower at large d.
     """
     sym = A.T.copy()
     sym += A

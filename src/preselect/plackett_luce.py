@@ -156,7 +156,7 @@ def _check_setting(name: str, value: float, label: str | None = None) -> float:
 
 def _check_int(value: int, name: str) -> int:
     """The one integer rule: a Python or numpy integer, not a bool, as a Python ``int``."""
-    if type(value) is int:  # the common case, first: subsets are checked 3 times a round
+    if type(value) is int:  # the common case, first: subsets are checked several times a round
         return value
     if not isinstance(value, bool):
         try:

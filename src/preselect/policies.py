@@ -117,6 +117,10 @@ class MMState:
 
     ``_incidence`` is ``mm_fit``'s cache (see ``_Incidence``), not a
     statistic: no constructor takes it, and equality ignores it.
+
+    The constructor takes only statistics that recorded stages could
+    give (see ``_check_stages``); ``record`` and ``mm_fit`` build their
+    states unchecked.
     """
 
     weights: np.ndarray
@@ -131,10 +135,12 @@ class MMState:
             raise ValueError("weights must be a nonempty vector")
         if not (np.isfinite(w).all() and (w > 0).all()):
             raise ValueError("weights must be strictly positive and finite")
-        wins = np.zeros(w.size, dtype=np.int64) if self.wins is None else self.wins
-        wins = np.asarray(wins)
-        if wins.shape != w.shape:
-            raise ValueError("wins must have one entry per arm")
+        if not _is_int(self.observations, 0):
+            raise ValueError("observations must be a nonnegative integer")
+        if self.wins is None and not self.set_counts:  # no stage, as ``uniform`` builds
+            wins = np.zeros(w.size, dtype=np.int64)
+        else:
+            wins = _check_stages(w.size, self.wins, self.set_counts, self.observations)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "wins", wins)
 
@@ -162,6 +168,44 @@ class MMState:
             set_counts[key] = set_counts.get(key, 0) + 1
         return _unchecked(MMState, self.__dict__, wins=wins, set_counts=set_counts,
                           observations=self.observations + 1)
+
+
+def _is_int(value, least: int) -> bool:
+    """Whether ``value`` meets the integer rule (``_check_int``) and is at least ``least``."""
+    try:
+        return _check_int(value, "") >= least
+    except ValueError:
+        return False
+
+
+def _check_stages(n: int, wins, set_counts: dict, observations: int) -> np.ndarray:
+    """``wins`` as an array, if it and ``set_counts`` could come from recorded stages.
+
+    Each stage is one count of its remaining-set's key, a sorted tuple of
+    distinct arms, and one win for an arm of that set; a recorded stage
+    implies a recorded observation.
+    """
+    wins = np.zeros(n, dtype=np.int64) if wins is None else np.asarray(wins)
+    if wins.shape != (n,):
+        raise ValueError("wins must have one entry per arm")
+    if wins.dtype.kind not in "iu" or (wins < 0).any():
+        raise ValueError("wins must be nonnegative integers")
+    held = np.zeros(n, dtype=np.int64)  # stages holding each arm
+    for key, count in set_counts.items():
+        if not (type(key) is tuple and key and all(_is_int(i, 0) for i in key)
+                and key == tuple(sorted(set(key))) and key[-1] < n):
+            raise ValueError("set_counts keys must be sorted tuples of distinct arms below n")
+        if not _is_int(count, 1):
+            raise ValueError("set_counts values must be positive integers")
+        held[list(key)] += count
+    stages = sum(set_counts.values())
+    if wins.sum() != stages:
+        raise ValueError("total wins must equal the number of stages")
+    if (wins > held).any():
+        raise ValueError("an arm cannot win more stages than hold it")
+    if stages and not observations:
+        raise ValueError("observations must be at least 1 once a stage is recorded")
+    return wins
 
 
 class _Incidence(NamedTuple):

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preselect import (
     AlgoSelectEnvironment,
@@ -22,6 +24,7 @@ from preselect import (
 )
 from preselect.cli import main as cli_main
 from preselect.likelihood import RankingFeedback, WinnerFeedback
+from test_table_reader import benchmark_table
 
 
 def make_scenario(rng, n=6, d=3, k=2, T=50, seed=13):
@@ -33,7 +36,7 @@ def preprocessing_fixture():
 
     After min-max scaling: column 0 is constant and column 5 has
     variance below 0.01, so both fall to the variance filter.  Columns 1
-    and 2 are identical (the tie-break removes the larger index, 2);
+    and 2 are identical (they fold to the first, 1);
     column 3 is column 1 plus a small alternating wiggle (correlation
     0.9994, and column 1 is more correlated with the rest, so 1 is
     removed); columns 3 and 4 correlate at 0.37 and both survive.
@@ -48,6 +51,72 @@ def preprocessing_fixture():
     c5 = np.zeros(m)
     c5[0] = 1.0
     return np.column_stack([c0, c1, c2, c3, c4, c5])
+
+
+def oracle_scale(raw):
+    """Min-max scaled columns, constant ones at 0, as the documented step 1 reads."""
+    lo, hi = raw.min(0), raw.max(0)
+    span = np.where(hi - lo == 0, 1.0, hi - lo)
+    scaled = (raw - lo) / span
+    scaled[:, hi - lo == 0] = 0.0
+    return scaled
+
+
+def greedy_oracle(raw):
+    """The documented rule, re-run with the matrix re-derived after each removal."""
+    scaled = oracle_scale(raw)
+    expected = [j for j in range(raw.shape[1]) if np.var(scaled[:, j]) >= 0.01]
+    while len(expected) >= 2:
+        corr = np.abs(np.corrcoef(scaled[:, expected], rowvar=False))
+        np.fill_diagonal(corr, 0.0)
+        a, b = np.unravel_index(np.argmax(corr), corr.shape)
+        if corr[a, b] <= 0.95:
+            break
+        mean_a = corr[a].sum() / (len(expected) - 1)
+        mean_b = corr[b].sum() / (len(expected) - 1)
+        if mean_a > mean_b:
+            victim = a
+        elif mean_b > mean_a:
+            victim = b
+        else:
+            victim = a if expected[a] > expected[b] else b
+        expected.pop(victim)
+    return expected
+
+
+def assert_follows_the_rule(raw):
+    """Kept columns and values as the oracle gives them once later identical copies are gone."""
+    scaled = oracle_scale(raw)
+    firsts = {}
+    for j in range(raw.shape[1]):
+        firsts.setdefault(scaled[:, j].tobytes(), j)
+    columns = sorted(firsts.values())
+    expected = [columns[j] for j in greedy_oracle(raw[:, columns])]
+    reduced, kept = preprocess_features(raw)
+    assert kept == expected
+    assert reduced.tobytes() == scaled[:, expected].tobytes()
+
+
+@st.composite
+def feature_tables(draw):
+    """20-400 rows, 1-30 columns: fresh, noisy near-copies (some mirrored), exact copies, constants."""
+    rows = draw(st.integers(20, 400))
+    kinds = draw(st.lists(st.sampled_from(["fresh", "near", "copy", "constant"]), min_size=1, max_size=30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in kinds:
+        if kind == "constant":
+            columns.append(np.full(rows, rng.normal()))
+        elif kind == "fresh" or not columns:
+            columns.append(rng.uniform(size=rows) * 10.0 ** rng.uniform(-3, 3))
+        else:
+            source = columns[rng.integers(len(columns))]
+            if kind == "copy":
+                columns.append(source.copy())
+            else:
+                noise = rng.choice([1e-3, 1e-2]) * (np.ptp(source) or 1.0)
+                columns.append(rng.choice([-1.0, 1.0]) * source + noise * rng.normal(size=rows))
+    return np.column_stack(columns)
 
 
 def synthetic_context(scenario, t):
@@ -220,28 +289,38 @@ class TestPreprocessing:
         raw[:, 3] = raw[:, 0] + 0.05 * rng.normal(size=80)
         raw[:, 4] = -raw[:, 1] + 0.02 * rng.normal(size=80)
         _, kept = preprocess_features(raw)
+        assert kept == greedy_oracle(raw)
 
-        lo, hi = raw.min(0), raw.max(0)
-        span = np.where(hi - lo == 0, 1.0, hi - lo)
-        scaled = (raw - lo) / span
-        scaled[:, hi - lo == 0] = 0.0
-        expected = [j for j in range(6) if np.var(scaled[:, j]) >= 0.01]
-        while len(expected) >= 2:
-            corr = np.abs(np.corrcoef(scaled[:, expected], rowvar=False))
-            np.fill_diagonal(corr, 0.0)
-            a, b = np.unravel_index(np.argmax(corr), corr.shape)
-            if corr[a, b] <= 0.95:
-                break
-            mean_a = corr[a].sum() / (len(expected) - 1)
-            mean_b = corr[b].sum() / (len(expected) - 1)
-            if mean_a > mean_b:
-                victim = a
-            elif mean_b > mean_a:
-                victim = b
-            else:
-                victim = a if expected[a] > expected[b] else b
-            expected.pop(victim)
-        assert kept == expected
+    def test_identical_columns_fold_to_the_first(self):
+        # An identical pair has |r| = 1 and equal mean correlations, so the
+        # rule removes the later copy; round-off in the two means once
+        # removed column 0 here and kept its copy, column 3.
+        base = np.random.default_rng(2).uniform(size=(50, 3))
+        _, kept = preprocess_features(np.column_stack([base, base[:, 0]]))
+        assert kept == [0, 1, 2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=feature_tables())
+    def test_follows_the_rule_on_tables_with_copies(self, raw):
+        assert_follows_the_rule(raw)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_follows_the_rule_on_the_benchmark_table(self, seed, tmp_path):
+        runtimes, features = benchmark_table(seed, tmp_path)
+        raw = load_runtime_table(runtimes, features).instance_features
+        assert_follows_the_rule(raw)
+
+    def test_one_correlation_matrix_per_call(self, monkeypatch):
+        # Each pruned column's row and column leave the one matrix; none is
+        # derived again.  Six near-copies here cost six removals.
+        rng = np.random.default_rng(3)
+        base = rng.uniform(size=(100, 4))
+        raw = np.column_stack([base, base[:, [0, 1, 2, 0, 1, 2]] + 1e-3 * rng.normal(size=(100, 6))])
+        calls = []
+        corrcoef = np.corrcoef
+        monkeypatch.setattr(np, "corrcoef", lambda *a, **kw: calls.append(1) or corrcoef(*a, **kw))
+        _, kept = preprocess_features(raw)
+        assert len(kept) == 4 and len(calls) == 1
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):

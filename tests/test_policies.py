@@ -497,6 +497,17 @@ class TestMMFit:
         assert w[3] == 1 / 4 and w[1] < 1e-6 * w[0]
         assert max(evaluations) < 100
 
+    @pytest.mark.parametrize("size", [1, 2, 5, 20])
+    def test_private_solver_matches_numpy_solve(self, size):
+        # The Newton step calls numpy's private gufunc ``solve1`` directly; a
+        # numpy release that changes it fails here.  Warnings are errors here.
+        rng = np.random.default_rng(size)
+        root = rng.normal(size=(size, size))
+        matrix = root @ root.T + size * np.eye(size)
+        rhs = rng.normal(size=size)
+        np.testing.assert_allclose(policies._solve(matrix, rhs), np.linalg.solve(matrix, rhs),
+                                   rtol=1e-12, atol=0)
+
 
 class TestMMState:
     def test_statistics_match_raw_stages(self, rng):
@@ -549,6 +560,17 @@ class TestMMState:
         np.testing.assert_array_equal(mm_fit(built).weights, mm_fit(recorded).weights)
         with pytest.raises(TypeError, match="reach"):
             MMState(weights=np.full(2, 0.5), reach=np.eye(2, dtype=bool))
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 8), T=st.integers(1, 30), mode=st.sampled_from(["winner", "ranking"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_recorded_statistics_pass_the_constructor(self, n, T, mode, seed):
+        # Every state that ``record`` builds meets the constructor's rule,
+        # and rebuilt through it, fits bit for bit as recorded.
+        recorded = record_all(MMState.uniform(n), random_history(n, T, mode, seed))
+        rebuilt = MMState(weights=recorded.weights, wins=recorded.wins,
+                          set_counts=recorded.set_counts, observations=recorded.observations)
+        assert mm_fit(rebuilt).weights.tobytes() == mm_fit(recorded).weights.tobytes()
 
     def test_policy_update_builds_one_unchecked_state(self, monkeypatch):
         # The constructor's checks run where a state comes from outside;
@@ -767,7 +789,31 @@ class TestCPPLPolicy:
     (dict(weights=[0.5, 0.0]), "weights must be strictly positive and finite"),
     (dict(weights=[0.5, np.inf]), "weights must be strictly positive and finite"),
     (dict(weights=[0.5, 0.5], wins=np.zeros(3)), "wins must have one entry per arm"),
-], ids=["empty", "matrix", "zero", "inf", "wins-shape"])
+    (dict(weights=[0.5, 0.5], wins=[-4, 0], set_counts={(0, 1): 1}, observations=1),
+     "wins must be nonnegative integers"),
+    (dict(weights=[0.5, 0.5], wins=[0.5, 0.2], set_counts={(0, 1): 1}, observations=1),
+     "wins must be nonnegative integers"),
+    (dict(weights=[0.5, 0.5], wins=[1, 0], set_counts={(0, 5): 1}, observations=1),
+     "set_counts keys must be sorted tuples of distinct arms below n"),
+    (dict(weights=[0.5, 0.5, 0.5], wins=[1, 0, 0], set_counts={(2, 0): 1}, observations=1),
+     "set_counts keys must be sorted tuples of distinct arms below n"),
+    (dict(weights=[0.5, 0.5], wins=[1, 0], set_counts={(0, 0): 1}, observations=1),
+     "set_counts keys must be sorted tuples of distinct arms below n"),
+    (dict(weights=[0.5, 0.5], wins=[1, 0], set_counts={(0, 1): -3}, observations=1),
+     "set_counts values must be positive integers"),
+    (dict(weights=[0.5, 0.5], wins=[1, 0], set_counts={(0, 1): 1.0}, observations=1),
+     "set_counts values must be positive integers"),
+    (dict(weights=[0.5, 0.5], wins=[3, 0]), "total wins must equal the number of stages"),
+    (dict(weights=[0.5, 0.5, 0.5], wins=[0, 0, 1], set_counts={(0, 1): 1}, observations=1),
+     "an arm cannot win more stages than hold it"),
+    (dict(weights=[0.5, 0.5], observations=-1), "observations must be a nonnegative integer"),
+    (dict(weights=[0.5, 0.5], observations=1.0), "observations must be a nonnegative integer"),
+    (dict(weights=[0.5, 0.5], wins=[1, 0], set_counts={(0, 1): 1}),
+     "observations must be at least 1 once a stage is recorded"),
+], ids=["empty", "matrix", "zero", "inf", "wins-shape", "wins-negative", "wins-fraction",
+        "key-range", "key-unsorted", "key-repeated", "count-negative", "count-float",
+        "wins-without-stages", "wins-outside-their-stages", "observations-negative",
+        "observations-float", "stages-without-observations"])
 def test_mm_state_inputs_are_rejected(fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         MMState(**fields)
